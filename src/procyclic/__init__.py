@@ -13,7 +13,6 @@ from .census import (
     DensityGapResult,
     TensorRep,
     census_ratio_set,
-    census_sum_set,
     density_gap,
     enum_A,
     kappa,
@@ -129,7 +128,6 @@ __all__ = [
     "DensityGapResult",
     "enum_A",
     "census_ratio_set",
-    "census_sum_set",
     "density_gap",
     "kappa",
     "mu",

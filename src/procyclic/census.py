@@ -41,7 +41,6 @@ __all__ = [
     "unpack_series",
     "enum_A",
     "census_ratio_set",
-    "census_sum_set",
     "density_gap",
     "kappa",
     "mu",
@@ -111,7 +110,8 @@ def enum_A(p: int, i: int) -> CensusSet:
         cur = cur * base
     elements = frozenset(members)
     # 1 - x has multiplicative order exactly p^i here, so no collisions
-    assert len(elements) == prec
+    if len(elements) != prec:
+        raise RuntimeError(f"enum_A({p}, {i}) has {len(elements)} members, not {prec}")
     return CensusSet(p=p, level=i, elements=elements)
 
 
@@ -179,32 +179,11 @@ def census_ratio_set(p: int, alpha, beta, k: int, i: int) -> CensusSet:
                 count_here += 1
             max_solutions = max(max_solutions, count_here)
     # the two factors behind the p^(2in + p^k) counting bound
-    assert pairs_scanned <= p ** (2 * i * n)
-    assert max_solutions <= p**pk
+    if pairs_scanned > p ** (2 * i * n):
+        raise RuntimeError(f"scanned {pairs_scanned} pairs, above p^(2in)")
+    if max_solutions > p**pk:
+        raise RuntimeError(f"{max_solutions} solutions for one pair, above p^(p^k)")
     return CensusSet(p=p, level=i, elements=frozenset(solutions))
-
-
-def census_sum_set(base: CensusSet, weights) -> CensusSet:
-    """Pointwise sums sum_m(s_m * v_m) with each s_m drawn from base.
-
-    Generalizes a census set by a fixed weight sequence; used only at
-    small lengths, the combination count is |base| ** len(weights).
-    """
-    weights = list(weights)
-    if not weights:
-        raise UsageError("need at least one weight")
-    prec = base.prec
-    for w in weights:
-        if not isinstance(w, TruncSeries) or w.p != base.p or w.prec != prec:
-            raise UsageError("weights must be TruncSeries at the census precision")
-    members = list(base.series())
-    out: set[int] = set()
-    for combo in itertools.product(members, repeat=len(weights)):
-        total = TruncSeries.zero(base.p, prec)
-        for s, w in zip(combo, weights):
-            total = total + s * w
-        out.add(pack_series(total))
-    return CensusSet(p=base.p, level=base.level, elements=frozenset(out))
 
 
 @dataclass(frozen=True)

@@ -45,23 +45,33 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{text!r} is not an integer") from None
+
+
 def _parse_exponent(text: str, p: int, min_prec: int) -> PadicInt:
     text = text.strip()
     if "," in text:
-        digits = [int(part) for part in text.split(",") if part.strip() != ""]
+        digits = [_parse_int(part) for part in text.split(",") if part.strip() != ""]
         if len(digits) < min_prec:
             raise UsageError(
                 f"digit list has {len(digits)} digits; precision {min_prec} needed"
             )
         return PadicInt(p, digits)
-    return PadicInt.from_int(int(text), p, max(min_prec, 1))
+    return PadicInt.from_int(_parse_int(text), p, max(min_prec, 1))
 
 
 def _emit(doc: dict, text: str, args) -> None:
     payload = json.dumps(doc, indent=2, sort_keys=True) + "\n" if args.json else text
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload)
 
@@ -80,6 +90,8 @@ def _wrap(command: str, body: dict) -> dict:
 
 
 def _cmd_verify_frobenius(args) -> int:
+    if args.imax < 1:
+        raise UsageError("imax must be >= 1, or no identity is checked")
     section = section_frobenius(primes=(args.p,), i_max=args.imax, prec=args.prec)
     lines = [
         f"frobenius p={args.p} imax={args.imax} prec={args.prec}: {section.status}"
@@ -179,8 +191,8 @@ def _cmd_coinv(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    alpha = [int(v) for v in args.alpha.split(",")] if args.alpha else [1] * args.n
-    beta = [int(v) for v in args.beta.split(",")] if args.beta else [1] * args.n
+    alpha = [_parse_int(v) for v in args.alpha.split(",")] if args.alpha else [1] * args.n
+    beta = [_parse_int(v) for v in args.beta.split(",")] if args.beta else [1] * args.n
     if len(alpha) != args.n or len(beta) != args.n:
         raise UsageError("alpha and beta must have exactly n entries")
     if args.imax < args.k:
@@ -279,8 +291,14 @@ def _build_named_group(kind: str, p: int, i: int) -> FiniteGroup:
 
 def _cmd_h2(args) -> int:
     if args.group_file:
-        with open(args.group_file) as fh:
-            group = FiniteGroup.from_json_dict(json.load(fh))
+        try:
+            with open(args.group_file) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.group_file}: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{args.group_file} is not JSON: {exc}") from None
+        group = FiniteGroup.from_json_dict(data)
         label = args.group_file
     else:
         group = _build_named_group(args.group, args.p, args.i)

@@ -66,13 +66,13 @@ class FpCModule:
             raise UsageError("action matrix must be invertible")
         # T has p-power order iff T - I is nilpotent; the nilpotency index e
         # gives the minimal exponent via p^k >= e.
-        n = (action.array - np.eye(d, dtype=np.int64)) % p
+        n = FpMatrix(p, action.array - np.eye(d, dtype=np.int64))
         e = 0
-        power = np.eye(d, dtype=np.int64)
-        while power.any():
+        power = FpMatrix.identity(p, d)
+        while power.array.any():
             if e >= d:
                 raise UsageError("action matrix does not have p-power order")
-            power = _matmod(power, n, p)
+            power = power @ n
             e += 1
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", d)
@@ -87,10 +87,6 @@ class FpCModule:
             f"FpCModule(p={self.p}, dim={self.dim}, "
             f"order_exponent={self.order_exponent})"
         )
-
-
-def _matmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
 
 
 class ModuleAntipode:
@@ -108,9 +104,8 @@ class ModuleAntipode:
             raise UsageError("antipode matrix shape differs from module dimension")
         if rank(matrix) != d:
             raise UsageError("antipode matrix must be invertible")
-        t = module.action.array
         # S T = T^(-1) S is equivalent to T S T = S.
-        if not np.array_equal(_matmod(_matmod(t, matrix.array, module.p), t, module.p), matrix.array):
+        if module.action @ matrix @ module.action != matrix:
             raise UsageError("antipode twist S T = T^(-1) S fails")
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "matrix", matrix)

@@ -28,12 +28,11 @@ power the mod-p Hopf quotient.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError, env_budget
 from .fpx import TruncSeries, validate_prime
 
 __all__ = [
@@ -44,20 +43,22 @@ __all__ = [
     "cyclic_group",
     "elementary_abelian",
     "build_lamplighter",
-    "subgroup_closure",
     "hopf_quotient",
     "max_group_order",
 ]
 
 DEFAULT_MAX_GROUP = 4096
+_UINT16_ORDERS = 1 << 16
 _EXHAUSTIVE_ASSOC_LIMIT = 4096
 _ASSOC_SAMPLES = 20000
 
 
 def max_group_order() -> int:
-    """Table-construction budget; override with PROCYCLIC_MAX_GROUP."""
-    value = os.environ.get("PROCYCLIC_MAX_GROUP")
-    return int(value) if value else DEFAULT_MAX_GROUP
+    """Table-construction budget; override with PROCYCLIC_MAX_GROUP.
+
+    Tables hold uint16 element indices, so the budget is capped at 65536.
+    """
+    return env_budget("PROCYCLIC_MAX_GROUP", DEFAULT_MAX_GROUP, limit=_UINT16_ORDERS)
 
 
 def _p_power_exponent(order: int, p: int) -> int:
@@ -265,13 +266,17 @@ class FiniteGroup:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteGroup":
-        order = int(data["order"])
-        table = np.asarray(data["table"], dtype=np.uint16).reshape(order, order)
-        return cls(
-            int(data["prime"]),
-            table,
-            generator_names=data.get("generator_names") or (),
-        )
+        try:
+            order = int(data["order"])
+            table = np.asarray(data["table"], dtype=np.uint16).reshape(order, order)
+            prime = int(data["prime"])
+            names = data.get("generator_names") or ()
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(
+                "group JSON needs 'prime', 'order' and an order x order 'table' "
+                f"of uint16 indices ({type(exc).__name__}: {exc})"
+            ) from None
+        return cls(prime, table, generator_names=names)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(p={self.p}, order={self.order})"
@@ -489,10 +494,6 @@ def build_lamplighter(p: int, i: int, copies: int = 2) -> LamplighterGroup:
         cyclic_order=cyclic_order,
         generator_names=names,
     )
-
-
-def subgroup_closure(group: FiniteGroup, generators) -> frozenset[int]:
-    return group.subgroup_closure(generators)
 
 
 def hopf_quotient(group: FiniteGroup, h_elements) -> int:

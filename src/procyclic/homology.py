@@ -12,9 +12,13 @@ where faces containing the identity are dropped.  Then
     dim H_2(G, F_p) = dim ker d2 - rank d3
                     = (m-1)^2 - rank d2 - rank d3.
 
-d3 has (m-1)^3 rows of at most four entries each, so ranks are taken by
-the streaming sparse eliminator; order 64 is the practical ceiling (a
-quarter-million rows) and is also the default budget.
+Both ranks stream through linfp.SparseRankAccumulator: d2 via
+linfp.rank, and d3 (never materialized) from a single row generator that
+bit-packs rows over F_2 and emits (column, value) pairs for odd p.  d3
+has (m-1)^3 rows of at most four entries each, so order 64 is the
+practical ceiling (a quarter-million rows) and is also the default
+budget.  Only the cycle basis of the five-term check comes from the
+dense rref, through linfp.kernel_basis.
 
 The five-term check compares two independent computations attached to a
 normal subgroup H of G: the cokernel of the induced map
@@ -26,13 +30,12 @@ homology sequence says the dimensions must agree.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cycmod import diagonal_coinvariants, regular_module, tensor_over_groupring
-from .errors import ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError, env_budget
 from .groups import FiniteGroup, GroupHom, build_lamplighter, elementary_abelian, hopf_quotient
 from .linfp import FpMatrix, SparseRankAccumulator, kernel_basis, rank
 
@@ -51,8 +54,7 @@ DEFAULT_MAX_BAR = 64
 
 def max_bar_order() -> int:
     """Budget for bar-resolution homology; override with PROCYCLIC_MAX_BAR."""
-    value = os.environ.get("PROCYCLIC_MAX_BAR")
-    return int(value) if value else DEFAULT_MAX_BAR
+    return env_budget("PROCYCLIC_MAX_BAR", DEFAULT_MAX_BAR)
 
 
 def _check_bar_budget(group: FiniteGroup) -> None:
@@ -80,53 +82,41 @@ def _boundary2_matrix(group: FiniteGroup, nontrivial, pos) -> FpMatrix:
     return FpMatrix(group.p, arr)
 
 
-def _rank_d3(group: FiniteGroup, nontrivial, pos) -> int:
-    """Rank of d3 streamed row by row; bit-packed fast path for p = 2."""
+def _stream_d3(group: FiniteGroup, nontrivial, pos, acc: SparseRankAccumulator) -> None:
+    """Feed every row of d3 to acc: bit-packed over F_2, (column, value) pairs otherwise.
+
+    Row [g|h|k] has columns [h|k], [g|h] and, unless gh or hk is the
+    identity, [gh|k] and [g|hk], in the C_2 numbering of _boundary2_matrix.
+    """
     m1 = len(nontrivial)
-    p = group.p
-    e = group.identity
-    table = group.table
-    acc = SparseRankAccumulator(m1 * m1, p)
-    if p == 2:
-        for g in nontrivial:
-            a = pos[g]
-            row_g = table[g]
-            for h in nontrivial:
-                b = pos[h]
-                gh = int(row_g[h])
-                row_h = table[h]
-                base = 1 << (a * m1 + b)  # [g|h]
-                gh_ok = gh != e
-                if gh_ok:
-                    gh_base = pos[gh] * m1
-                a_base = a * m1
-                for k in nontrivial:
-                    c = pos[k]
-                    row = base ^ (1 << (b * m1 + c))  # [h|k]
-                    if gh_ok:
+    # prod[a][c] = position of nontrivial[a] * nontrivial[c], or -1 for the identity
+    prod = [
+        [pos.get(int(x), -1) for x in group.table[g, nontrivial]] for g in nontrivial
+    ]
+    bits = group.p == 2
+    add = acc.add_bits if bits else acc.add_pairs
+    for a in range(m1):
+        a_base = a * m1
+        prod_a = prod[a]
+        for b in range(m1):
+            b_base = b * m1
+            gh = prod_a[b]
+            gh_base = gh * m1 if gh >= 0 else -1
+            base = 1 << (a_base + b)  # [g|h]
+            for c, hk in enumerate(prod[b]):
+                if bits:
+                    row = base ^ (1 << (b_base + c))  # [h|k]
+                    if gh_base >= 0:
                         row ^= 1 << (gh_base + c)  # [gh|k]
-                    hk = int(row_h[k])
-                    if hk != e:
-                        row ^= 1 << (a_base + pos[hk])  # [g|hk]
-                    acc.add_bits(row)
-        return acc.rank
-    for g in nontrivial:
-        a = pos[g]
-        row_g = table[g]
-        for h in nontrivial:
-            b = pos[h]
-            gh = int(row_g[h])
-            row_h = table[h]
-            for k in nontrivial:
-                c = pos[k]
-                pairs = [(b * m1 + c, 1), (a * m1 + b, -1)]
-                if gh != e:
-                    pairs.append((pos[gh] * m1 + c, -1))
-                hk = int(row_h[k])
-                if hk != e:
-                    pairs.append((a * m1 + pos[hk], 1))
-                acc.add_pairs(pairs)
-    return acc.rank
+                    if hk >= 0:
+                        row ^= 1 << (a_base + hk)  # [g|hk]
+                else:
+                    row = [(b_base + c, 1), (a_base + b, -1)]
+                    if gh_base >= 0:
+                        row.append((gh_base + c, -1))
+                    if hk >= 0:
+                        row.append((a_base + hk, 1))
+                add(row)
 
 
 def bar_h2(group: FiniteGroup) -> int:
@@ -137,9 +127,10 @@ def bar_h2(group: FiniteGroup) -> int:
     nontrivial = [g for g in range(group.order) if g != group.identity]
     pos = {g: idx for idx, g in enumerate(nontrivial)}
     m1 = len(nontrivial)
-    d2 = _boundary2_matrix(group, nontrivial, pos)
-    z2_dim = m1 * m1 - rank(d2)
-    return z2_dim - _rank_d3(group, nontrivial, pos)
+    z2_dim = m1 * m1 - rank(_boundary2_matrix(group, nontrivial, pos))
+    acc = SparseRankAccumulator(m1 * m1, group.p)
+    _stream_d3(group, nontrivial, pos, acc)
+    return z2_dim - acc.rank
 
 
 @dataclass(frozen=True)
@@ -208,22 +199,7 @@ def five_term_check(group: FiniteGroup, h_elements) -> FiveTermReport:
         acc.add_pairs(zip(cols.tolist(), image[cols].tolist()))
 
     # adjoin the boundaries of the quotient
-    e = quotient.identity
-    table = quotient.table
-    for g in q_nontrivial:
-        a = q_pos[g]
-        for h in q_nontrivial:
-            b = q_pos[h]
-            gh = int(table[g, h])
-            for k in q_nontrivial:
-                c = q_pos[k]
-                pairs = [(b * qm1 + c, 1), (a * qm1 + b, -1)]
-                if gh != e:
-                    pairs.append((q_pos[gh] * qm1 + c, -1))
-                hk = int(table[h, k])
-                if hk != e:
-                    pairs.append((a * qm1 + q_pos[hk], 1))
-                acc.add_pairs(pairs)
+    _stream_d3(quotient, q_nontrivial, q_pos, acc)
     rank_union = acc.rank
 
     d2_q = _boundary2_matrix(quotient, q_nontrivial, q_pos)

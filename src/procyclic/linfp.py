@@ -1,15 +1,21 @@
-"""Dense and sparse linear algebra over F_p.
+"""Dense and streaming linear algebra over F_p.
 
 Everything downstream (coinvariant quotients, census solving, bar-complex
 homology) reduces to ranks, kernels and quotient dimensions over a prime
 field, so this module is the single place where elimination happens.
 
-Pivoting is deterministic (first nonzero in column order) to keep every
-report byte-reproducible.  The dense path is vectorized numpy row
-elimination; the sparse path streams rows into an accumulator and is used
-for the very wide boundary matrices of the bar complex, where a dense
-array would not fit.  For p = 2 streamed rows are packed into Python
-integers, which makes each reduction a single word-parallel xor.
+Every rank is taken by one engine, SparseRankAccumulator: rows stream in
+one at a time and only the pivot rows are kept.  Over F_2 a row is a
+bit-packed Python integer and each reduction is one word-parallel xor;
+for odd p the pivot rows are kept inter-reduced in float64 so that an
+incoming row is finished by one BLAS product.  That product sums one term
+per pivot, so it is exact while rank * (p-1)^2 < 2^53, and the bound is
+checked whenever a pivot is added.
+
+Bases are built by the dense int64 rref, which kernel_basis and
+FpSubspace use and which the tests use as the independent oracle for
+rank.  Pivoting is deterministic (first nonzero in column order) to keep
+every report byte-reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ResourceLimitError, UsageError
 from .fpx import validate_prime
 
 __all__ = [
@@ -31,11 +37,6 @@ __all__ = [
     "rref",
     "SparseRankAccumulator",
 ]
-
-# A dense matrix with at most this fraction of nonzero entries is handed
-# to the sparse path by rank().
-SPARSE_DENSITY = 0.05
-_SPARSE_MIN_CELLS = 1 << 16
 
 
 class FpMatrix:
@@ -63,13 +64,6 @@ class FpMatrix:
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
         return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_triplets(cls, p: int, rows: int, cols: int, triplets) -> "FpMatrix":
-        arr = np.zeros((rows, cols), dtype=np.int64)
-        for i, j, v in triplets:
-            arr[i, j] += v
-        return cls(p, arr)
 
     @property
     def rows(self) -> int:
@@ -149,18 +143,20 @@ def rref(matrix: FpMatrix) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(matrix: FpMatrix) -> int:
-    """Row rank over F_p; wide sparse matrices go through the sparse path."""
-    if (
-        matrix.array.size >= _SPARSE_MIN_CELLS
-        and matrix.density < SPARSE_DENSITY
-    ):
-        acc = SparseRankAccumulator(matrix.cols, matrix.p)
-        for i in np.nonzero(matrix.array.any(axis=1))[0]:
-            row = matrix.array[i]
-            cols = np.nonzero(row)[0]
+    """Row rank over F_p: the nonzero rows stream through SparseRankAccumulator."""
+    acc = SparseRankAccumulator(matrix.cols, matrix.p)
+    arr = matrix.array
+    nonzero_rows = np.flatnonzero(arr.any(axis=1))
+    if matrix.p == 2:
+        packed = np.packbits(arr != 0, axis=1, bitorder="little")
+        for i in nonzero_rows:
+            acc.add_bits(int.from_bytes(packed[i].tobytes(), "little"))
+    else:
+        for i in nonzero_rows:
+            row = arr[i]
+            cols = np.flatnonzero(row)
             acc.add_pairs(zip(cols.tolist(), row[cols].tolist()))
-        return acc.rank
-    return len(rref(matrix)[1])
+    return acc.rank
 
 
 @dataclass(frozen=True)
@@ -257,8 +253,11 @@ class SparseRankAccumulator:
     Over F_2 a row is a bit-packed Python integer and a reduction is one
     xor.  For odd p the pivot rows are kept fully inter-reduced, so an
     incoming row is finished by a single gather-and-subtract pass; the
-    combination is accumulated in float64 (exact below 2^53, which the
-    column-count times p^2 bound guarantees) to get BLAS speed.
+    combination is accumulated in float64 to get BLAS speed.  It sums one
+    product below (p-1)^2 per pivot, so it is exact while
+    rank * (p-1)^2 < 2^53; adding a pivot past that bound raises
+    ResourceLimitError.  The float64 basis starts at min(16, ncols) rows
+    and doubles as the rank grows.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -268,8 +267,6 @@ class SparseRankAccumulator:
         self._pivots: dict[int, int] = {}  # p = 2: leading bit -> packed row
         self._pivcols: list[int] = []  # odd p: pivot column per basis row
         self._basis: np.ndarray | None = None  # odd p: RREF rows, float64
-        if p != 2 and ncols * (p - 1) ** 2 >= (1 << 53):
-            raise UsageError("column count too large for exact float accumulation")
 
     def add_pairs(self, pairs) -> bool:
         """Add a row given as (column, value) pairs; True if rank grew."""
@@ -316,8 +313,10 @@ class SparseRankAccumulator:
         lead = int(nz[0])
         if row[lead] != 1:
             row = (row * pow(int(row[lead]), -1, p)) % p
+        if (self.rank + 1) * (p - 1) ** 2 >= 1 << 53:
+            raise ResourceLimitError("rank too large for exact float64 accumulation")
         if self._basis is None:
-            self._basis = np.zeros((max(16, self.ncols // 8), self.ncols))
+            self._basis = np.zeros((min(16, self.ncols), self.ncols))
         elif self.rank == self._basis.shape[0]:
             grown = np.zeros((min(self.ncols, 2 * self.rank), self.ncols))
             grown[: self.rank] = self._basis

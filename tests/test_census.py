@@ -15,7 +15,6 @@ from procyclic import (
     TruncSeries,
     UsageError,
     census_ratio_set,
-    census_sum_set,
     density_gap,
     enum_A,
     kappa,
@@ -130,21 +129,6 @@ def test_ratio_set_validation():
         census_ratio_set(2, [], [], 1, 1)
     with pytest.raises(UsageError):
         census_ratio_set(2, [1, 1], [1], 1, 1)
-
-
-def test_census_sum_set():
-    base = enum_A(2, 2)
-    one = TruncSeries.one(2, 4)
-    assert census_sum_set(base, [one]).elements == base.elements
-    x = TruncSeries.x(2, 4)
-    two_terms = census_sum_set(base, [one, x])
-    assert len(two_terms) <= len(base) ** 2
-    # contains 1*1 + 1*x for instance
-    assert pack_series(TruncSeries(2, [1, 1], 4)) in two_terms.elements
-    with pytest.raises(UsageError):
-        census_sum_set(base, [])
-    with pytest.raises(UsageError):
-        census_sum_set(base, [TruncSeries.one(2, 8)])
 
 
 # -- density gap -------------------------------------------------------------------

@@ -111,6 +111,47 @@ def test_tower(capsys):
     assert doc["complete"] is True
 
 
+BAD_INPUTS = {
+    "max-bar-not-int": ({"PROCYCLIC_MAX_BAR": "abc"}, None, ["h2"]),
+    "max-group-not-int": ({"PROCYCLIC_MAX_GROUP": "1.5"}, None, ["h2"]),
+    "max-group-above-uint16": ({"PROCYCLIC_MAX_GROUP": "65537"}, None, ["h2"]),
+    "group-file-missing": ({}, None, ["h2", "--group-file", "{dir}/absent.json"]),
+    "group-file-malformed": ({}, "{not json", ["h2", "--group-file", "{file}"]),
+    "group-file-no-table": (
+        {},
+        '{"prime": 2, "order": 2}',
+        ["h2", "--group-file", "{file}"],
+    ),
+    "tau-alpha-not-int": ({}, None, ["tau", "--p", "2", "--alpha", "x", "--prec", "8"]),
+    "frobenius-imax-zero": ({}, None, ["verify-frobenius", "--p", "2", "--imax", "0"]),
+    "out-unwritable": (
+        {},
+        None,
+        ["tau", "--p", "2", "--alpha", "1", "--prec", "4", "--out", "{dir}/absent/out"],
+    ),
+    "census-alpha-not-int": (
+        {},
+        None,
+        ["census", "--p", "2", "--n", "1", "--k", "1", "--imax", "1", "--alpha", "y"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_usage_error(case, capsys, monkeypatch, tmp_path):
+    env, content, argv = BAD_INPUTS[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    path = tmp_path / "group.json"
+    if content is not None:
+        path.write_text(content)
+    argv = [a.format(dir=tmp_path, file=path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["tau", "--p", "2", "--alpha", "1", "--prec", "4", "--bogus"])

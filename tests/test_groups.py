@@ -77,7 +77,7 @@ def test_budget_override(monkeypatch):
     monkeypatch.setenv("PROCYCLIC_MAX_GROUP", "8")
     with pytest.raises(ResourceLimitError):
         build_lamplighter(2, 2, 1)
-    monkeypatch.setenv("PROCYCLIC_MAX_GROUP", "100000")
+    monkeypatch.setenv("PROCYCLIC_MAX_GROUP", "65536")
     assert build_lamplighter(2, 2, 1).order == 16
 
 

@@ -15,6 +15,7 @@ from procyclic import (
     quotient_projection,
     rank,
 )
+from procyclic.linfp import rref
 
 
 def rank_division_free(rows, p):
@@ -66,12 +67,14 @@ def test_rank_against_division_free_oracle_f3():
 
 def test_rank_against_oracle_various_shapes():
     rng = random.Random(51)
-    for p in (2, 3, 7, 13):
-        for _ in range(15):
-            rows = rng.randrange(1, 25)
-            cols = rng.randrange(1, 25)
+    for p in (2, 3, 7, 13, 65521):
+        shapes = [(rng.randrange(1, 25), rng.randrange(1, 25)) for _ in range(15)]
+        shapes += [(0, 7), (6, 0), (0, 0), (3, 90), (5, 200)]
+        for rows, cols in shapes:
             arr = random_matrix(rng, p, rows, cols)
-            assert rank(FpMatrix(p, arr)) == rank_division_free(arr, p)
+            m = FpMatrix(p, arr)
+            assert rank(m) == rank_division_free(arr, p)
+            assert rank(m) == len(rref(m)[1])
 
 
 def test_rank_transpose_and_permutation_invariance():
@@ -151,6 +154,18 @@ def test_rank_dispatches_sparse_path_consistently():
     m = FpMatrix(3, arr)
     assert m.density < 0.05
     assert rank(m) == rank_division_free(arr, 3)
+
+
+def test_rank_of_wide_sparse_matrix_allocates_by_rank():
+    # ten rows of width 100000: the float64 basis must grow with the rank,
+    # not be sized from the column count
+    rng = np.random.default_rng(58)
+    arr = np.zeros((10, 100_000), dtype=np.int64)
+    for row in arr:
+        row[rng.choice(100_000, size=50, replace=False)] = 1
+    assert rank(FpMatrix(3, arr)) == 10
+    arr[9] = (arr[3] + 2 * arr[5]) % 3
+    assert rank(FpMatrix(3, arr)) == 9
 
 
 def test_add_bits_requires_f2():
