@@ -68,11 +68,8 @@ from .homology import (
 )
 from .linfp import (
     FpMatrix,
-    FpSubspace,
     SparseRankAccumulator,
     kernel_basis,
-    quotient_dim,
-    quotient_projection,
     rank,
 )
 from .padic import PadicInt
@@ -104,12 +101,9 @@ __all__ = [
     "min_digit_precision",
     # linear algebra
     "FpMatrix",
-    "FpSubspace",
     "SparseRankAccumulator",
     "rank",
     "kernel_basis",
-    "quotient_dim",
-    "quotient_projection",
     # modules
     "FpCModule",
     "ModuleAntipode",

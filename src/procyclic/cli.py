@@ -16,13 +16,7 @@ import sys
 
 from . import __version__
 from .census import census_ratio_set, density_gap, enum_A
-from .cycmod import (
-    antipode_iso_check,
-    diagonal_coinvariants,
-    regular_antipode,
-    regular_module,
-    tensor_over_groupring,
-)
+from .cycmod import antipode_iso_check, regular_antipode, regular_module
 from .errors import ResourceLimitError, SearchExhaustedError, UsageError
 from .fpx import TruncSeries, parse_series, render_series
 from .groups import FiniteGroup, build_lamplighter, cyclic_group, elementary_abelian
@@ -31,11 +25,11 @@ from .padic import PadicInt
 from .reporting import (
     DEFAULT_SEED,
     SECTION_ORDER,
-    Section,
-    ReportDocument,
+    json_header,
     run_report,
     section_antipode_bijection,
     section_frobenius,
+    tower_row,
 )
 from .taumap import min_digit_precision, sigma, tau
 
@@ -77,13 +71,7 @@ def _emit(doc: dict, text: str, args) -> None:
 
 
 def _wrap(command: str, body: dict) -> dict:
-    return {
-        "schema_version": 1,
-        "tool": "procyclic",
-        "version": __version__,
-        "command": command,
-        **body,
-    }
+    return {**json_header(), "command": command, **body}
 
 
 # -- subcommand implementations -------------------------------------------
@@ -124,6 +112,8 @@ def _cmd_tau(args) -> int:
 def _cmd_antipode_check(args) -> int:
     import random
 
+    if args.trials < 1:
+        raise UsageError("trials must be >= 1, or no series identity is checked")
     rng = random.Random(args.seed)
     p, prec = args.p, args.prec
     ok = True
@@ -167,26 +157,26 @@ def _cmd_antipode_check(args) -> int:
 
 
 def _cmd_coinv(args) -> int:
-    mod = regular_module(args.p, args.i)
-    coinv = diagonal_coinvariants(mod, mod)
-    tensor = tensor_over_groupring(mod, mod)
-    check = antipode_iso_check(mod, regular_antipode(args.p, args.i))
+    check = antipode_iso_check(
+        regular_module(args.p, args.i), regular_antipode(args.p, args.i)
+    )
+    coinv_dim, tensor_dim = check.coinvariant_dim, check.tensor_dim
     doc = _wrap(
         "coinv",
         {
             "p": args.p,
             "i": args.i,
-            "coinv_dim": coinv.dim,
-            "tensor_gr_dim": tensor.dim,
+            "coinv_dim": coinv_dim,
+            "tensor_gr_dim": tensor_dim,
             "antipode_bijective": check.bijective,
         },
     )
     text = (
-        f"p={args.p} i={args.i}: coinv_dim={coinv.dim} "
-        f"tensor_gr_dim={tensor.dim} antipode_bijective={check.bijective}\n"
+        f"p={args.p} i={args.i}: coinv_dim={coinv_dim} "
+        f"tensor_gr_dim={tensor_dim} antipode_bijective={check.bijective}\n"
     )
     _emit(doc, text, args)
-    ok = coinv.dim == tensor.dim == args.i and check.bijective
+    ok = coinv_dim == tensor_dim == args.i and check.bijective
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -318,23 +308,7 @@ def _cmd_h2(args) -> int:
 
 def _cmd_tower(args) -> int:
     report = tower_report(args.p, args.imax)
-    rows = []
-    ok = report.complete
-    for row in report.rows:
-        ok &= row.collapse_ok and row.inequality_ok
-        rows.append(
-            {
-                "i": row.level,
-                "order": row.order,
-                "h2_dim": row.h2_dim,
-                "coinv_dim": row.coinvariant_dim,
-                "tensor_gr_dim": row.tensor_gr_dim,
-                "elab_h2": row.elab_h2,
-                "lower_bound": row.h2_lower_bound,
-                "collapse_ok": row.collapse_ok,
-                "inequality_ok": row.inequality_ok,
-            }
-        )
+    rows = [{**tower_row(row), "elab_h2": row.elab_h2} for row in report.rows]
     doc = _wrap(
         "tower",
         {
@@ -360,7 +334,7 @@ def _cmd_tower(args) -> int:
     _emit(doc, "\n".join(lines) + "\n", args)
     if not report.complete:
         return EXIT_RESOURCE
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def _cmd_report(args) -> int:

@@ -16,10 +16,16 @@ Both relation spans are generated by basis pairs only, which suffices
 because each relation is bilinear in (m, m').  Tensor coordinates are
 row-major: basis pair (i, j) sits at index i * dim(M') + j.
 
+Each quotient keeps its raw relation rows, and its dimension is the
+ambient dimension minus their rank.  No basis of either quotient is
+built: every number here is a rank from linfp.rank.
+
 The antipode of a module is an invertible S with S T = T^(-1) S; mapping
-m (x) m' to m (x) S m' matches the two relation spans, so equality of the
-two quotient dimensions upgrades to an explicit bijection, and that is
-exactly what antipode_iso_check certifies.
+m (x) m' to m (x) S m' carries the coinvariant relations into the tensor
+relations, so equality of the two quotient dimensions upgrades to an
+explicit bijection.  antipode_iso_check certifies the inclusion as a rank
+equality: appending the images to the tensor relations leaves the rank
+unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from .errors import UsageError
 from .fpx import TruncSeries, validate_prime
-from .linfp import FpMatrix, FpSubspace, kernel_basis, quotient_projection, rank
+from .linfp import FpMatrix, kernel_basis, rank
 from .taumap import min_digit_precision
 
 __all__ = [
@@ -148,13 +154,12 @@ def regular_antipode(p: int, i: int) -> ModuleAntipode:
 
 @dataclass(frozen=True)
 class QuotientDescription:
-    """A quotient of a tensor square: dimension plus projection data."""
+    """A quotient of a tensor square: its dimension and its relation rows."""
 
     p: int
     ambient: int
     dim: int
-    projection: FpMatrix
-    relations: FpSubspace
+    relations: FpMatrix  # one relation per row, spanning the killed subspace
 
 
 def _check_pair(m: FpCModule, m2: FpCModule) -> None:
@@ -163,15 +168,10 @@ def _check_pair(m: FpCModule, m2: FpCModule) -> None:
 
 
 def _quotient_by(m: FpCModule, m2: FpCModule, rel_matrix: np.ndarray) -> QuotientDescription:
-    p = m.p
     ambient = m.dim * m2.dim
-    span = FpSubspace.from_vectors(p, ambient, rel_matrix.T % p)
+    relations = FpMatrix(m.p, rel_matrix.T)
     return QuotientDescription(
-        p=p,
-        ambient=ambient,
-        dim=ambient - span.dim,
-        projection=quotient_projection(span),
-        relations=span,
+        p=m.p, ambient=ambient, dim=ambient - rank(relations), relations=relations
     )
 
 
@@ -201,21 +201,24 @@ class AntipodeCheck:
 def antipode_iso_check(m: FpCModule, antipode) -> AntipodeCheck:
     """Certify that id (x) S maps coinvariant relations onto tensor relations.
 
-    Accepts a ModuleAntipode or a raw matrix (validated here).  Since S is
-    invertible, carrying one relation span into the other plus equality of
-    span dimensions means the induced map of quotients is a bijection.
+    Accepts a ModuleAntipode or a raw matrix (validated here).  The images
+    lie in the tensor relation span iff stacking them under the tensor
+    relations leaves the rank unchanged.  Since S is invertible, that
+    inclusion plus equal quotient dimensions means the induced map of
+    quotients is a bijection.
     """
     if not isinstance(antipode, ModuleAntipode):
         antipode = ModuleAntipode(m, antipode)
     if antipode.module is not m and antipode.module.action != m.action:
         raise UsageError("antipode was built for a different module")
-    p = m.p
     coinv = diagonal_coinvariants(m, m)
     tensor = tensor_over_groupring(m, m)
-    phi = np.kron(np.eye(m.dim, dtype=np.int64), antipode.matrix.array)
-    images = (coinv.relations.basis @ phi.T) % p
-    carried = all(tensor.relations.contains(v) for v in images)
-    bij = carried and coinv.relations.dim == tensor.relations.dim
+    phi = FpMatrix(m.p, np.kron(np.eye(m.dim, dtype=np.int64), antipode.matrix.array))
+    images = coinv.relations @ phi.transpose()
+    stacked = FpMatrix(m.p, np.vstack([tensor.relations.array, images.array]))
+    # tensor.ambient - tensor.dim is rank(tensor.relations), already taken
+    carried = rank(stacked) == tensor.ambient - tensor.dim
+    bij = carried and coinv.dim == tensor.dim
     return AntipodeCheck(
         bijective=bij,
         coinvariant_dim=coinv.dim,
@@ -233,5 +236,5 @@ def z_action_homology(m: FpCModule) -> tuple[int, int]:
     d = m.dim
     one_minus_t = FpMatrix(m.p, (np.eye(d, dtype=np.int64) - m.action.array) % m.p)
     h0 = d - rank(one_minus_t)
-    h1 = kernel_basis(one_minus_t).dim
+    h1 = kernel_basis(one_minus_t).rows
     return h0, h1

@@ -123,11 +123,7 @@ class TruncSeries:
 
     @classmethod
     def one_minus_x(cls, p: int, prec: int) -> "TruncSeries":
-        c = np.zeros(prec, dtype=np.int64)
-        c[0] = 1
-        if prec > 1:
-            c[1] = p - 1
-        return cls(p, c, prec)
+        return cls(p, (1, p - 1), prec)
 
     @classmethod
     def geometric(cls, p: int, prec: int) -> "TruncSeries":
@@ -465,7 +461,10 @@ def parse_series(text: str, p: int, prec: int) -> TruncSeries:
     """Parse either the rendered text form or a JSON coefficient array."""
     text = text.strip()
     if text.startswith("["):
-        coeffs = json.loads(text)
+        try:
+            coeffs = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"series is not a JSON array: {exc}") from None
         if not isinstance(coeffs, list) or not all(
             isinstance(c, int) for c in coeffs
         ):

@@ -77,7 +77,7 @@ class FiniteGroup:
 
     __slots__ = ("p", "order", "table", "identity", "inverses", "generator_names")
 
-    def __init__(self, p: int, table, generator_names=None, validate: bool = True):
+    def __init__(self, p: int, table, generator_names=None):
         p = validate_prime(p)
         tab = np.asarray(table, dtype=np.uint16)
         if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
@@ -88,8 +88,7 @@ class FiniteGroup:
             raise UsageError("table entries must be element indices")
         identity = self._find_identity(tab)
         inverses = self._find_inverses(tab, identity)
-        if validate:
-            self._check_associativity(tab)
+        self._check_associativity(tab)
         tab.flags.writeable = False
         inverses.flags.writeable = False
         object.__setattr__(self, "p", p)

@@ -188,7 +188,7 @@ def five_term_check(group: FiniteGroup, h_elements) -> FiveTermReport:
     keep = mapping >= 0
 
     acc = SparseRankAccumulator(q_cols, p)
-    for v in cycles.basis:
+    for v in cycles.array:
         nz = keep & (v != 0)
         if not nz.any():
             continue
@@ -232,6 +232,13 @@ class TowerReport:
     rows: tuple[TowerRow, ...]
     complete: bool
     stopped_reason: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        """Every level was reached and every row satisfies both checks."""
+        return self.complete and all(
+            row.collapse_ok and row.inequality_ok for row in self.rows
+        )
 
 
 def tower_report(p: int, i_max: int) -> TowerReport:

@@ -1,8 +1,10 @@
 """Dense and streaming linear algebra over F_p.
 
-Everything downstream (coinvariant quotients, census solving, bar-complex
-homology) reduces to ranks, kernels and quotient dimensions over a prime
-field, so this module is the single place where elimination happens.
+Everything downstream (coinvariant quotients, the antipode certificate,
+bar-complex homology) reduces to ranks and kernels over a prime field, so
+this module is the single place where elimination happens.  A quotient
+dimension is the ambient dimension minus the rank of the relation rows,
+and a span inclusion is an equality of two ranks.
 
 Every rank is taken by one engine, SparseRankAccumulator: rows stream in
 one at a time and only the pivot rows are kept.  Over F_2 a row is a
@@ -12,15 +14,13 @@ incoming row is finished by one BLAS product.  That product sums one term
 per pivot, so it is exact while rank * (p-1)^2 < 2^53, and the bound is
 checked whenever a pivot is added.
 
-Bases are built by the dense int64 rref, which kernel_basis and
-FpSubspace use and which the tests use as the independent oracle for
-rank.  Pivoting is deterministic (first nonzero in column order) to keep
-every report byte-reproducible.
+The dense int64 rref builds the one explicit basis the package needs,
+the null-space basis of kernel_basis, and is the tests' independent
+oracle for rank.  Pivoting is deterministic (first nonzero in column
+order) to keep every report byte-reproducible.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +29,8 @@ from .fpx import validate_prime
 
 __all__ = [
     "FpMatrix",
-    "FpSubspace",
     "rank",
     "kernel_basis",
-    "quotient_dim",
-    "quotient_projection",
     "rref",
     "SparseRankAccumulator",
 ]
@@ -72,11 +69,6 @@ class FpMatrix:
     @property
     def cols(self) -> int:
         return self.array.shape[1]
-
-    @property
-    def density(self) -> float:
-        cells = self.array.size
-        return float(np.count_nonzero(self.array)) / cells if cells else 0.0
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix(self.p, self.array.T)
@@ -159,88 +151,24 @@ def rank(matrix: FpMatrix) -> int:
     return acc.rank
 
 
-@dataclass(frozen=True)
-class FpSubspace:
-    """Subspace of F_p^ambient given by a reduced-row-echelon basis."""
+def kernel_basis(matrix: FpMatrix) -> FpMatrix:
+    """Basis of the right null space {v : matrix @ v = 0}, one vector per row.
 
-    p: int
-    ambient: int
-    basis: np.ndarray  # shape (dim, ambient), RREF, full row rank
-
-    @classmethod
-    def from_vectors(cls, p: int, ambient: int, vectors) -> "FpSubspace":
-        arr = np.asarray(list(vectors), dtype=np.int64)
-        if arr.size == 0:
-            arr = np.zeros((0, ambient), dtype=np.int64)
-        if arr.shape[1] != ambient:
-            raise UsageError(f"vectors have length {arr.shape[1]}, ambient is {ambient}")
-        reduced, pivots = rref(FpMatrix(p, arr))
-        basis = reduced[: len(pivots)]
-        basis.flags.writeable = False
-        return cls(p, ambient, basis)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def pivot_columns(self) -> list[int]:
-        return [int(np.nonzero(row)[0][0]) for row in self.basis]
-
-    def reduce(self, vector) -> np.ndarray:
-        """Canonical representative of vector modulo this subspace."""
-        v = np.mod(np.asarray(vector, dtype=np.int64), self.p)
-        if v.shape != (self.ambient,):
-            raise UsageError("vector has wrong length")
-        for row, c in zip(self.basis, self.pivot_columns()):
-            if v[c]:
-                v = (v - v[c] * row) % self.p
-        return v
-
-    def contains(self, vector) -> bool:
-        return not self.reduce(vector).any()
-
-
-def kernel_basis(matrix: FpMatrix) -> FpSubspace:
-    """Basis of the right null space {v : matrix @ v = 0}."""
+    Row k is the solution with a one at the k-th free column of the rref,
+    zeros at the other free columns; the rows are independent by
+    construction.
+    """
     p = matrix.p
     reduced, pivots = rref(matrix)
     ncols = matrix.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for j, c in enumerate(pivots):
-            v[c] = (-reduced[j, f]) % p
-        vectors.append(v)
-    return FpSubspace.from_vectors(p, ncols, vectors)
-
-
-def quotient_dim(ambient: int, span: FpSubspace) -> int:
-    """Dimension of F_p^ambient / span."""
-    if span.ambient != ambient:
-        raise UsageError(f"span lives in dimension {span.ambient}, not {ambient}")
-    return ambient - span.dim
-
-
-def quotient_projection(span: FpSubspace) -> FpMatrix:
-    """Matrix of the projection F_p^ambient -> F_p^ambient / span.
-
-    The quotient basis is the set of non-pivot coordinates of the span's
-    echelon basis, in increasing column order.
-    """
-    p, ambient = span.p, span.ambient
-    pivots = span.pivot_columns()
-    pivot_set = set(pivots)
-    free = [c for c in range(ambient) if c not in pivot_set]
-    proj = np.zeros((len(free), ambient), dtype=np.int64)
-    for a, c in enumerate(free):
-        proj[a, c] = 1
-    for j, c in enumerate(pivots):
-        for a, f in enumerate(free):
-            proj[a, c] = (-span.basis[j, f]) % p
-    return FpMatrix(p, proj)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, ncols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    if pivots:
+        basis[:, pivots] = -reduced[: len(pivots)][:, free].T
+    return FpMatrix(p, basis)
 
 
 class SparseRankAccumulator:

@@ -28,7 +28,7 @@ from .cycmod import (
 from .errors import SearchExhaustedError, UsageError
 from .fpx import LaurentTrunc, TruncSeries
 from .groups import build_lamplighter, cyclic_group, elementary_abelian, max_group_order
-from .homology import bar_h2, five_term_check, max_bar_order, tower_report
+from .homology import TowerRow, bar_h2, five_term_check, max_bar_order, tower_report
 from .padic import PadicInt
 from .taumap import min_digit_precision, tau
 
@@ -62,6 +62,11 @@ class Section:
         return doc
 
 
+def json_header() -> dict:
+    """The keys every JSON document of the tool starts with."""
+    return {"schema_version": 1, "tool": "procyclic", "version": _version}
+
+
 @dataclass
 class ReportDocument:
     config: dict
@@ -73,9 +78,7 @@ class ReportDocument:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
-            "tool": "procyclic",
-            "version": _version,
+            **json_header(),
             "config": self.config,
             "sections": [s.to_json_dict() for s in self.sections],
         }
@@ -337,24 +340,24 @@ def section_five_term() -> Section:
     return Section("five-term", "pass" if ok else "fail", rows)
 
 
+def tower_row(row: TowerRow) -> dict:
+    """One tower level as a report row."""
+    return {
+        "i": row.level,
+        "order": row.order,
+        "h2_dim": row.h2_dim,
+        "coinv_dim": row.coinvariant_dim,
+        "tensor_gr_dim": row.tensor_gr_dim,
+        "lower_bound": row.h2_lower_bound,
+        "collapse_ok": row.collapse_ok,
+        "inequality_ok": row.inequality_ok,
+    }
+
+
 def section_tower(p: int = 2, i_max: int = 2) -> Section:
     report = tower_report(p, i_max)
-    rows = []
-    ok = report.complete
-    for row in report.rows:
-        ok &= row.collapse_ok and row.inequality_ok
-        rows.append(
-            {
-                "i": row.level,
-                "order": row.order,
-                "h2_dim": row.h2_dim,
-                "coinv_dim": row.coinvariant_dim,
-                "tensor_gr_dim": row.tensor_gr_dim,
-                "lower_bound": row.h2_lower_bound,
-                "collapse_ok": row.collapse_ok,
-                "inequality_ok": row.inequality_ok,
-            }
-        )
+    rows = [tower_row(row) for row in report.rows]
+    ok = report.passed
     if p == 2 and report.rows:
         expected_first = report.rows[0].h2_dim == 6
         ok &= expected_first

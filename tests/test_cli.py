@@ -134,6 +134,10 @@ BAD_INPUTS = {
         None,
         ["census", "--p", "2", "--n", "1", "--k", "1", "--imax", "1", "--alpha", "y"],
     ),
+    "density-gap-f-malformed-json": ({}, None, ["density-gap", "--p", "2", "--f", "[1,"]),
+    "frobenius-prec-zero": ({}, None, ["verify-frobenius", "--p", "2", "--prec", "0"]),
+    "antipode-trials-zero": ({}, None, ["antipode-check", "--p", "2", "--trials", "0"]),
+    "antipode-trials-negative": ({}, None, ["antipode-check", "--p", "2", "--trials", "-3"]),
 }
 
 
