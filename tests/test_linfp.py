@@ -76,12 +76,20 @@ def test_rank_against_oracle_various_shapes():
         shapes = [(rng.randrange(1, 25), rng.randrange(1, 25)) for _ in range(15)]
         shapes += [(0, 7), (6, 0), (0, 0), (3, 90), (5, 200)]
         inputs += [(p, random_matrix(rng, p, rows, cols)) for rows, cols in shapes]
-    # 300 x 400 over F_3 with at most 500 nonzero entries
-    inputs.append((3, sparse_matrix(random.Random(57), 3, 300, 400, 500)))
     for p, arr in inputs:
         m = FpMatrix(p, arr)
         assert rank(m) == rank_division_free(arr, p)
         assert rank(m) == len(rref(m)[1])
+
+
+def test_rank_dispatches_sparse_path_consistently():
+    # one rank path for every density: a 300 x 400 matrix over F_3 with at
+    # most 500 nonzero entries goes through the same accumulator as a dense one
+    arr = sparse_matrix(random.Random(57), 3, 300, 400, 500)
+    assert np.count_nonzero(arr) < 0.05 * arr.size
+    m = FpMatrix(3, arr)
+    assert rank(m) == rank_division_free(arr, 3)
+    assert rank(m) == len(rref(m)[1])
 
 
 def test_rank_transpose_and_permutation_invariance():
