@@ -5,7 +5,8 @@ ring F_p[[x]] acted on by a procyclic group through t -> 1 - x: exact
 series and Laurent arithmetic, p-adic exponents and the tau map, module
 coinvariants and group-ring tensor squares with their antipode bijection,
 census/counting data for ratio sets of the image of tau, and mod-p second
-homology of lamplighter quotient towers via bar resolutions.
+homology of lamplighter quotient towers via minimal resolutions, with the
+bar resolution as their oracle.
 """
 
 from .census import (
@@ -64,6 +65,7 @@ from .homology import (
     TowerRow,
     bar_h2,
     five_term_check,
+    minres_h2,
     tower_report,
 )
 from .linfp import (
@@ -137,6 +139,7 @@ __all__ = [
     "build_lamplighter",
     "hopf_quotient",
     # homology
+    "minres_h2",
     "bar_h2",
     "five_term_check",
     "FiveTermReport",

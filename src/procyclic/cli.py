@@ -20,7 +20,7 @@ from .cycmod import antipode_iso_check, regular_antipode, regular_module
 from .errors import ResourceLimitError, SearchExhaustedError, UsageError
 from .fpx import TruncSeries, parse_series, render_series
 from .groups import FiniteGroup, build_lamplighter, cyclic_group, elementary_abelian
-from .homology import bar_h2, tower_report
+from .homology import minres_h2, tower_report
 from .padic import PadicInt
 from .reporting import (
     DEFAULT_SEED,
@@ -293,7 +293,7 @@ def _cmd_h2(args) -> int:
     else:
         group = _build_named_group(args.group, args.p, args.i)
         label = f"{args.group}(p={args.p}, i={args.i})"
-    dim = bar_h2(group)
+    dim = minres_h2(group)
     doc = _wrap(
         "h2",
         {
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.set_defaults(func=_cmd_density_gap)
 
-    sp = sub.add_parser("h2", help="bar-resolution H2 of a named or JSON group")
+    sp = sub.add_parser("h2", help="H2 of a named or JSON group (minimal resolution)")
     sp.add_argument("--group", choices=("dl", "lamp", "elab", "cyclic"), default="dl")
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--i", type=int, default=1)

@@ -215,7 +215,9 @@ class FiniteGroup:
 
     def commutator_p_subgroup(self) -> frozenset[int]:
         """[G, G] G^p: the kernel of the maximal elementary abelian quotient."""
-        gens = {self.commutator(a, b) for a in range(self.order) for b in range(self.order)}
+        tab, inv = self.table, self.inverses
+        # every commutator a^(-1) b^(-1) a b in one table gather
+        gens = set(tab[tab[np.ix_(inv, inv)], tab].ravel().tolist())
         gens |= {self.power(a, self.p) for a in range(self.order)}
         return self.subgroup_closure(gens)
 

@@ -1,8 +1,28 @@
-"""Mod-p second homology of table groups via the normalized bar complex.
+"""Mod-p second homology of table groups.
 
-For a group of order m the normalized chains in degree d are tuples of
-non-identity elements, so C_1, C_2, C_3 have dimensions (m-1), (m-1)^2,
-(m-1)^3 over F_p, with boundaries
+The engine is minres_h2.  For a p-group G the group algebra A = F_pG is
+local with augmentation ideal I, so dim H_2(G, F_p) = dim Tor_2^A(F_p, F_p)
+is the number of minimal generators of the second syzygy.  Take minimal
+generators g_1..g_d of G, d = log_p [G : [G,G]G^p] (a greedy walk over
+the element indices modulo [G,G]G^p), and
+
+    K = ker(A^d -> A, e_j |-> g_j - 1),
+
+which has dimension d|G| - |G| + 1 because the image is I.  A^d -> I is
+then a projective cover, so K is the second syzygy and
+
+    dim H_2(G, F_p) = dim K/I.K = dim K - dim I.K,
+
+with I.K spanned by the (g_j - 1)k over the generators and a basis of K
+(J. F. Carlson, "Calculating group cohomology: tests for completion",
+J. Symb. Comput. 31, 2001; D. J. Green, Groebner Bases and the
+Computation of Group Cohomology, LNM 1828, 2003).  The cost is one
+kernel_basis of a |G| x d|G| matrix and one rank on d|G| columns.
+
+The oracle is bar_h2, the normalized bar complex.  For a group of order
+m the normalized chains in degree n are tuples of non-identity elements,
+so C_1, C_2, C_3 have dimensions (m-1), (m-1)^2, (m-1)^3 over F_p, with
+boundaries
 
     d2[g|h]   = [h] - [gh] + [g]
     d3[g|h|k] = [h|k] - [gh|k] + [g|hk] - [g|h]
@@ -17,8 +37,8 @@ linfp.rank, and d3 (never materialized) from a single row generator that
 bit-packs rows over F_2 and emits (column, value) pairs for odd p.  d3
 has (m-1)^3 rows of at most four entries each, so order 64 is the
 practical ceiling (a quarter-million rows) and is also the default
-budget.  Only the cycle basis of the five-term check comes from the
-dense rref, through linfp.kernel_basis.
+budget, which both engines share.  Only the cycle basis of the five-term
+check comes from the dense rref, through linfp.kernel_basis.
 
 The five-term check compares two independent computations attached to a
 normal subgroup H of G: the cokernel of the induced map
@@ -40,6 +60,7 @@ from .groups import FiniteGroup, GroupHom, build_lamplighter, elementary_abelian
 from .linfp import FpMatrix, SparseRankAccumulator, kernel_basis, rank
 
 __all__ = [
+    "minres_h2",
     "bar_h2",
     "five_term_check",
     "FiveTermReport",
@@ -53,7 +74,7 @@ DEFAULT_MAX_BAR = 64
 
 
 def max_bar_order() -> int:
-    """Budget for bar-resolution homology; override with PROCYCLIC_MAX_BAR."""
+    """Budget for H_2 (both engines); override with PROCYCLIC_MAX_BAR."""
     return env_budget("PROCYCLIC_MAX_BAR", DEFAULT_MAX_BAR)
 
 
@@ -131,6 +152,53 @@ def bar_h2(group: FiniteGroup) -> int:
     acc = SparseRankAccumulator(m1 * m1, group.p)
     _stream_d3(group, nontrivial, pos, acc)
     return z2_dim - acc.rank
+
+
+def _minimal_generators(group: FiniteGroup) -> list[int]:
+    """Walk the element indices, keeping each one outside <kept>[G,G]G^p.
+
+    Each kept element raises the dimension of the image of <kept> in the
+    F_p-space G/[G,G]G^p by one, so the walk keeps d = log_p [G : [G,G]G^p]
+    elements, and by the Burnside basis theorem they generate G.
+    """
+    frattini = sorted(group.commutator_p_subgroup())
+    gens: list[int] = []
+    span = frozenset(frattini)
+    for g in range(group.order):
+        if len(span) == group.order:
+            break
+        if g not in span:
+            gens.append(g)
+            span = group.subgroup_closure(gens + frattini)
+    return gens
+
+
+def minres_h2(group: FiniteGroup) -> int:
+    """dim H_2(G, F_p) = dim K - dim I.K, as in the module docstring."""
+    _check_bar_budget(group)
+    p, m = group.p, group.order
+    gens = _minimal_generators(group)
+    d = len(gens)
+    # column j*m + h is the basis element h.e_j of A^d, sent to h.g_j - h
+    phi = np.zeros((m, d * m), dtype=np.int64)
+    h = np.arange(m)
+    for j, g in enumerate(gens):
+        phi[group.table[:, g], j * m + h] = 1
+        phi[h, j * m + h] = -1
+    kernel = kernel_basis(FpMatrix(p, phi)).array
+    dim_k = kernel.shape[0]
+    if dim_k != d * m - m + 1:
+        raise RuntimeError(
+            f"generators {gens} do not generate the group: "
+            f"dim K = {dim_k}, expected {d * m - m + 1}"
+        )
+    # left multiplication by g moves coordinate h of every block to g.h
+    blocks = kernel.reshape(dim_k, d, m)
+    moved = np.empty((d, dim_k, d, m), dtype=np.int64)
+    for j, g in enumerate(gens):
+        moved[j][:, :, group.table[g]] = blocks
+    moved -= blocks
+    return dim_k - rank(FpMatrix(p, moved.reshape(d * dim_k, d * m)))
 
 
 @dataclass(frozen=True)
@@ -244,14 +312,15 @@ class TowerReport:
 def tower_report(p: int, i_max: int) -> TowerReport:
     """Double-lamplighter tower rows up to level i_max.
 
-    Each level i builds the order p^(3i) quotient, takes its bar H_2, and
+    Each level i builds the order p^(3i) quotient, takes its H_2, and
     compares against the coinvariant and group-ring tensor dimensions of
     the level-i regular module.  The recorded checks are the finite-level
     collapse (both module dimensions equal i) and the split lower bound
 
         h2_dim >= i + 2 * H_2((Z/p)^i).
 
-    Levels past the bar budget stop the tower with a partial report.
+    Levels past the PROCYCLIC_MAX_BAR budget stop the tower with a partial
+    report.
     """
     if i_max < 1:
         raise UsageError("tower needs i_max >= 1")
@@ -259,8 +328,8 @@ def tower_report(p: int, i_max: int) -> TowerReport:
     for i in range(1, i_max + 1):
         try:
             group = build_lamplighter(p, i, copies=2)
-            h2 = bar_h2(group)
-            elab = bar_h2(elementary_abelian(p, i))
+            h2 = minres_h2(group)
+            elab = minres_h2(elementary_abelian(p, i))
         except ResourceLimitError as exc:
             return TowerReport(p=p, rows=tuple(rows), complete=False, stopped_reason=str(exc))
         reg = regular_module(p, i)

@@ -135,7 +135,11 @@ def rref(matrix: FpMatrix) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(matrix: FpMatrix) -> int:
-    """Row rank over F_p: the nonzero rows stream through SparseRankAccumulator."""
+    """Row rank over F_p: the nonzero rows stream through SparseRankAccumulator.
+
+    Over F_2 each row goes in bit-packed; for odd p the stored row, already
+    reduced mod p, goes straight to the dense reduction.
+    """
     acc = SparseRankAccumulator(matrix.cols, matrix.p)
     arr = matrix.array
     nonzero_rows = np.flatnonzero(arr.any(axis=1))
@@ -145,9 +149,7 @@ def rank(matrix: FpMatrix) -> int:
             acc.add_bits(int.from_bytes(packed[i].tobytes(), "little"))
     else:
         for i in nonzero_rows:
-            row = arr[i]
-            cols = np.flatnonzero(row)
-            acc.add_pairs(zip(cols.tolist(), row[cols].tolist()))
+            acc._add_dense(arr[i])
     return acc.rank
 
 

@@ -111,6 +111,20 @@ def test_tower(capsys):
     assert doc["complete"] is True
 
 
+def test_tower_stops_at_h2_budget(capsys, monkeypatch):
+    monkeypatch.delenv("PROCYCLIC_MAX_BAR", raising=False)
+    code, out, _ = run_cli(capsys, "tower", "--p", "2", "--imax", "3")
+    assert code == 3
+    assert out == (
+        "double lamplighter tower p=2 up to level 3\n"
+        "  i  order   h2  coinv  tensor  bound ok\n"
+        "  1      8    6      1       1      3 True\n"
+        "  2     64    9      2       2      8 True\n"
+        "stopped: bar resolution needs |G| <= 64, got 512 "
+        "(set PROCYCLIC_MAX_BAR to raise the budget)\n"
+    )
+
+
 BAD_INPUTS = {
     "max-bar-not-int": ({"PROCYCLIC_MAX_BAR": "abc"}, None, ["h2"]),
     "max-group-not-int": ({"PROCYCLIC_MAX_GROUP": "1.5"}, None, ["h2"]),

@@ -1,11 +1,13 @@
-"""Bar-resolution H2 against classical dimensions, and five-term exactness.
+"""H2 engines against classical dimensions and each other, and five-term exactness.
 
 Expected values come from universal coefficients and Kunneth: for cyclic
 Z/p^e the mod-p H2 is Tor(Z/p^e, Z/p) = Z/p (dimension 1); for a product,
 dim H2 is the number of degree-2 monomials in the factors' Poincare
-series, giving 3 for (Z/p)^2 and 6 for (Z/2)^3; D4 has Schur multiplier
-Z/2 and abelianization (Z/2)^2, so dim H2(D4, F_2) = 1 + 2 = 3; Q8 has
-trivial multiplier, so dim H2(Q8, F_2) = 0 + 2 = 2.
+series, giving r(r+1)/2 for (Z/p)^r; D4 has Schur multiplier Z/2 and
+abelianization (Z/2)^2, so dim H2(D4, F_2) = 1 + 2 = 3; Q8 has trivial
+multiplier, so dim H2(Q8, F_2) = 0 + 2 = 2.  The minimal-resolution
+engine minres_h2 is checked against the bar oracle bar_h2 wherever the
+bar complex is affordable, and against the closed forms beyond that.
 """
 
 import numpy as np
@@ -19,6 +21,8 @@ from procyclic import (
     cyclic_group,
     elementary_abelian,
     five_term_check,
+    homology,
+    minres_h2,
     tower_report,
 )
 
@@ -74,21 +78,22 @@ def quaternion8():
 # -- known dimensions --------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "build,expected",
-    [
-        (lambda: cyclic_group(2, 1), 1),
-        (lambda: cyclic_group(3, 1), 1),
-        (lambda: cyclic_group(5, 1), 1),
-        (lambda: cyclic_group(2, 2), 1),
-        (lambda: cyclic_group(2, 3), 1),
-        (lambda: cyclic_group(3, 2), 1),
-        (lambda: elementary_abelian(2, 2), 3),
-        (lambda: elementary_abelian(3, 2), 3),
-        (lambda: elementary_abelian(2, 3), 6),
-        (lambda: build_lamplighter(2, 1, 2), 6),
-    ],
-)
+KNOWN_H2 = [
+    (lambda: cyclic_group(2, 1), 1),
+    (lambda: cyclic_group(3, 1), 1),
+    (lambda: cyclic_group(5, 1), 1),
+    (lambda: cyclic_group(2, 2), 1),
+    (lambda: cyclic_group(2, 3), 1),
+    (lambda: cyclic_group(3, 2), 1),
+    (lambda: elementary_abelian(2, 2), 3),
+    (lambda: elementary_abelian(3, 2), 3),
+    (lambda: elementary_abelian(2, 3), 6),
+    (lambda: build_lamplighter(2, 1, 2), 6),
+]
+KNOWN_H2_IDS = ["Z2", "Z3", "Z5", "Z4", "Z8", "Z9", "Z2^2", "Z3^2", "Z2^3", "DL2(1)"]
+
+
+@pytest.mark.parametrize("build,expected", KNOWN_H2)
 def test_bar_h2_known_values(build, expected):
     assert bar_h2(build()) == expected
 
@@ -102,14 +107,67 @@ def test_bar_h2_trivial_group():
     assert bar_h2(cyclic_group(2, 0)) == 0
 
 
+def _refusal(engine, group):
+    """The ResourceLimitError message engine raises on group, or None."""
+    try:
+        engine(group)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return None
+
+
 def test_bar_budget(monkeypatch):
-    with pytest.raises(ResourceLimitError):
-        bar_h2(elementary_abelian(2, 7))
+    monkeypatch.delenv("PROCYCLIC_MAX_BAR", raising=False)
+    elab128 = elementary_abelian(2, 7)
+    lamp16 = build_lamplighter(2, 2, 1)
+    assert _refusal(bar_h2, elab128) == _refusal(minres_h2, elab128) is not None
     monkeypatch.setenv("PROCYCLIC_MAX_BAR", "8")
-    with pytest.raises(ResourceLimitError):
-        bar_h2(build_lamplighter(2, 2, 1))
+    assert _refusal(bar_h2, lamp16) == _refusal(minres_h2, lamp16) is not None
     monkeypatch.setenv("PROCYCLIC_MAX_BAR", "16")
-    assert bar_h2(build_lamplighter(2, 2, 1)) >= 0
+    assert bar_h2(lamp16) == minres_h2(lamp16) == 4
+
+
+# -- minimal-resolution engine -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build,expected",
+    KNOWN_H2
+    + [
+        (dihedral8, 3),
+        (quaternion8, 2),
+        (lambda: build_lamplighter(2, 2, 1), 4),
+        (lambda: elementary_abelian(2, 5), 15),
+        (lambda: build_lamplighter(2, 2, 2), 9),  # DL_2(2), order 64
+        (lambda: cyclic_group(2, 0), 0),
+    ],
+    ids=KNOWN_H2_IDS + ["D4", "Q8", "L2(2)", "Z2^5", "DL2(2)", "trivial"],
+)
+def test_minres_h2_matches_bar_oracle(build, expected):
+    group = build()
+    assert minres_h2(group) == bar_h2(group) == expected
+
+
+def test_minres_h2_refuses_a_non_generating_set(monkeypatch):
+    monkeypatch.setattr(homology, "_minimal_generators", lambda group: [1])
+    with pytest.raises(RuntimeError, match="do not generate"):
+        minres_h2(elementary_abelian(2, 2))
+
+
+@pytest.mark.parametrize(
+    "build,expected",
+    [
+        (lambda: cyclic_group(2, 9), 1),
+        (lambda: cyclic_group(3, 5), 1),
+        (lambda: elementary_abelian(2, 6), 21),
+        (lambda: elementary_abelian(2, 7), 28),
+        (lambda: elementary_abelian(3, 4), 10),
+    ],
+    ids=["cyclic-2^9", "cyclic-3^5", "elab-2^6", "elab-2^7", "elab-3^4"],
+)
+def test_minres_h2_closed_forms_beyond_bar_budget(monkeypatch, build, expected):
+    monkeypatch.setenv("PROCYCLIC_MAX_BAR", "512")
+    assert minres_h2(build()) == expected
 
 
 # -- five-term exactness --------------------------------------------------------
@@ -185,4 +243,16 @@ def test_tower_level_two_full():
     row = rep.rows[1]
     assert row.order == 64
     assert row.coinvariant_dim == 2 and row.tensor_gr_dim == 2
-    assert row.h2_dim >= row.h2_lower_bound == 8
+    assert row.h2_dim == 9 and row.h2_lower_bound == 8
+    assert row.collapse_ok and row.inequality_ok
+
+
+def test_tower_p3_level_one():
+    rep = tower_report(3, 1)
+    assert rep.complete
+    row = rep.rows[0]
+    assert row.order == 27
+    assert row.h2_dim == 6
+    assert row.coinvariant_dim == 1 and row.tensor_gr_dim == 1
+    assert row.elab_h2 == 1 and row.h2_lower_bound == 3
+    assert row.collapse_ok and row.inequality_ok
