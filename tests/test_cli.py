@@ -136,6 +136,18 @@ BAD_INPUTS = {
         '{"prime": 2, "order": 2}',
         ["h2", "--group-file", "{file}"],
     ),
+    "group-file-order-zero": (
+        {},
+        '{"prime": 2, "order": 0, "table": []}',
+        ["h2", "--group-file", "{file}"],
+    ),
+    # a loop of order 5: two-sided identity 0, every element its own inverse
+    "group-file-not-associative": (
+        {},
+        '{"prime": 5, "order": 5, "table": '
+        "[0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3, 3, 2, 4, 0, 1, 4, 3, 1, 2, 0]}",
+        ["h2", "--group-file", "{file}"],
+    ),
     "tau-alpha-not-int": ({}, None, ["tau", "--p", "2", "--alpha", "x", "--prec", "8"]),
     "frobenius-imax-zero": ({}, None, ["verify-frobenius", "--p", "2", "--imax", "0"]),
     "out-unwritable": (

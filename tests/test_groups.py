@@ -138,6 +138,130 @@ def test_from_table_rejects_non_group():
         FiniteGroup(3, bad)
 
 
+def _exhaustive_associative(tab):
+    """The O(m^3) oracle: (a b) c == a (b c), one row a at a time."""
+    return all(np.array_equal(tab[tab[a]], tab[a][tab]) for a in range(tab.shape[0]))
+
+
+def _light_associative(p, tab):
+    try:
+        FiniteGroup(p, tab)
+    except UsageError as exc:
+        assert "associativity" in str(exc)
+        return False
+    return True
+
+
+def _builder_groups(max_order):
+    for p in (2, 3, 5, 7):
+        for e in range(1, 7):
+            if p**e <= max_order:
+                yield cyclic_group(p, e)
+                yield elementary_abelian(p, e)
+        for i in (1, 2, 3):
+            for copies in (1, 2):
+                if p ** (i * (copies + 1)) <= max_order:
+                    yield build_lamplighter(p, i, copies)
+
+
+def test_light_matches_oracle_on_relabeled_groups():
+    rng = np.random.default_rng(11)
+    groups = [cyclic_group(2, 0), *_builder_groups(81)]
+    assert max(g.order for g in groups) == 81
+    for g in groups:
+        perm = rng.permutation(g.order)
+        relabeled = np.empty_like(g.table)
+        relabeled[np.ix_(perm, perm)] = perm[g.table]
+        assert _exhaustive_associative(relabeled)
+        assert _light_associative(g.p, relabeled), g
+
+
+def test_light_matches_oracle_on_row_entry_swaps():
+    rng = np.random.default_rng(23)
+    groups = [g for g in _builder_groups(27) if g.order in (8, 9, 16, 25, 27)]
+    assert sorted({g.order for g in groups}) == [8, 9, 16, 25, 27]
+    for g in groups:
+        for _ in range(4):
+            # swap two entries of a row, leaving every identity entry in place
+            a = int(rng.choice([x for x in range(g.order) if x != g.identity]))
+            keep = {g.identity, g.inv(a)}
+            b, c = rng.choice([x for x in range(g.order) if x not in keep], 2, replace=False)
+            bad = g.table.copy()
+            bad[a, [b, c]] = bad[a, [c, b]]
+            assert not _exhaustive_associative(bad)
+            assert not _light_associative(g.p, bad), (g, a, b, c)
+
+
+LOOP5 = np.array(
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+)  # a non-associative loop: two-sided identity 0, every element its own inverse
+
+
+def test_light_checks_every_kept_generator():
+    # Z/5 x LOOP5 with index z + 5 w: the walk keeps (1, 0) first, which
+    # associates with everything, and only the next kept element (0, 1) fails
+    z, w = np.arange(25) % 5, np.arange(25) // 5
+    table = (z[:, None] + z[None, :]) % 5 + 5 * LOOP5[w[:, None], w[None, :]]
+    assert not _exhaustive_associative(LOOP5)
+    assert not _exhaustive_associative(table)
+    assert np.array_equal(table[table[:, 1]], table[:, table[1]])
+    with pytest.raises(UsageError, match="associativity fails at element 5"):
+        FiniteGroup(5, table)
+
+
+def _lamplighter_table_oracle(p, i, copies):
+    """The per-column fill: one column b of the table at a time."""
+    cyclic_order = base_count = p**i
+    order = base_count**copies * cyclic_order
+    t_action = np.zeros((i, i), dtype=np.int64)
+    for j in range(i):
+        t_action[j, j] = 1
+        if j + 1 < i:
+            t_action[j + 1, j] = p - 1
+    digits = np.zeros((base_count, i), dtype=np.int64)
+    v = np.arange(base_count)
+    for j in range(i):
+        digits[:, j] = v % p
+        v = v // p
+    weights = p ** np.arange(i)
+    acted = np.zeros((cyclic_order, base_count), dtype=np.int64)
+    power = np.eye(i, dtype=np.int64)
+    for n in range(cyclic_order):
+        acted[n] = ((digits @ power.T) % p) @ weights
+        power = (t_action @ power) % p
+    coord_weights = base_count ** np.arange(copies)
+    n_weight = base_count**copies
+    coords = np.zeros((order, copies), dtype=np.int64)
+    v = np.arange(order)
+    for c in range(copies):
+        coords[:, c] = v % base_count
+        v = v // base_count
+    n_part = v
+    table = np.zeros((order, order), dtype=np.uint16)
+    for b in range(order):
+        nb = int(n_part[b])
+        moved = acted[nb][coords]
+        combined = (
+            digits[moved.reshape(-1)].reshape(order, copies, i) + digits[coords[b]][None, :, :]
+        ) % p
+        summed = (combined @ weights) @ coord_weights
+        table[:, b] = summed + ((n_part + nb) % cyclic_order) * n_weight
+    return table
+
+
+@pytest.mark.parametrize(
+    "p,i,copies",
+    [(2, i, c) for i in (1, 2, 3) for c in (1, 2)]
+    + [(3, i, c) for i in (1, 2) for c in (1, 2)]
+    + [(5, 1, 1), (5, 1, 2)],
+)
+def test_lamplighter_table_matches_per_column_oracle(p, i, copies):
+    table = build_lamplighter(p, i, copies).table
+    oracle = _lamplighter_table_oracle(p, i, copies)
+    assert table.dtype == oracle.dtype
+    assert table.tobytes() == oracle.tobytes()
+
+
 def test_json_roundtrip():
     g = build_lamplighter(2, 2, 1)
     data = json.loads(g.to_json())
