@@ -17,7 +17,14 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__ as _version
-from .census import census_ratio_set, density_gap, enum_A, kappa, mu
+from .census import (
+    census_ratio_set,
+    check_census_budget,
+    density_gap,
+    enum_A,
+    kappa,
+    mu,
+)
 from .cycmod import (
     antipode_iso_check,
     diagonal_coinvariants,
@@ -206,6 +213,32 @@ def section_finite_collapse(primes=(2, 3), i_max: int = 8) -> Section:
     return Section("finite-collapse", "pass" if ok else "fail", rows)
 
 
+def census_rows(p: int, alpha, beta, k: int, i_max: int) -> list[dict]:
+    """One row per level k..i_max: ratio-set size against the counting bound.
+
+    The budget of the top level is checked before any level is computed.
+    """
+    n = len(alpha)
+    if i_max >= k:
+        check_census_budget(p, n, i_max)
+    rows = []
+    for i in range(k, i_max + 1):
+        size = len(census_ratio_set(p, alpha, beta, k, i))
+        bound = p ** (2 * i * n + p**k)
+        ambient = p ** (p**i)
+        rows.append(
+            {
+                "level": i,
+                "size": size,
+                "bound": bound,
+                "ambient": ambient,
+                "ratio": size / ambient,
+                "within_bound": size <= bound,
+            }
+        )
+    return rows
+
+
 def section_counting_bound(
     p: int = 2, n: int = 1, k: int = 1, i_max: int = 4, alpha=None, beta=None
 ) -> Section:
@@ -214,22 +247,17 @@ def section_counting_bound(
     rows = []
     ratios = []
     ok = True
-    for i in range(k, i_max + 1):
-        cs = census_ratio_set(p, alpha, beta, k, i)
-        bound = p ** (2 * i * n + p**k)
-        ambient = p ** (p**i)
-        ratio = len(cs) / ambient
-        ratios.append(ratio)
-        good = len(cs) <= bound
-        ok &= good
+    for row in census_rows(p, alpha, beta, k, i_max):
+        ratios.append(row["ratio"])
+        ok &= row["within_bound"]
         rows.append(
             {
-                "i": i,
-                "size": len(cs),
-                "bound": bound,
-                "ambient": ambient,
-                "ratio": f"{ratio:.6g}",
-                "within_bound": good,
+                "i": row["level"],
+                "size": row["size"],
+                "bound": row["bound"],
+                "ambient": row["ambient"],
+                "ratio": f"{row['ratio']:.6g}",
+                "within_bound": row["within_bound"],
             }
         )
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))

@@ -71,6 +71,27 @@ def test_census_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["census", "--p", "2", "--n", "2", "--k", "6", "--imax", "6"],
+        ["census", "--p", "2", "--n", "3", "--k", "1", "--imax", "8", "--json"],
+    ),
+)
+def test_census_over_budget_exits_3_before_any_work(argv, capsys, monkeypatch):
+    import procyclic.census
+
+    def no_work(*args):
+        raise AssertionError("the ratio set was started")
+
+    monkeypatch.setattr(procyclic.census, "_ratio_scan", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: census ratio set at p=2")
+    assert "Traceback" not in err
+
+
 def test_density_gap(capsys):
     code, out, _ = run_cli(capsys, "density-gap", "--p", "2", "--s", "1", "--imax", "4", "--json")
     assert code == 0
