@@ -18,6 +18,7 @@ from procyclic import (
     elementary_abelian,
     five_term_check,
     hopf_quotient,
+    lamplighter_socle,
     minres_h2,
     tower_report,
 )
@@ -35,7 +36,7 @@ for name, group in [
 
 print("\nfive-term consistency on the order-16 lamplighter quotient:")
 lamp = build_lamplighter(2, 2, 1)
-socle = lamp.socle_indices(0)
+socle = lamplighter_socle(2, 2, 1)  # x F_2, central in the base
 report = five_term_check(lamp, socle)
 print(
     f"  cokernel of H2(G) -> H2(G/H): {report.cokernel_dim}, "

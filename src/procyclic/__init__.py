@@ -43,7 +43,6 @@ from .errors import (
 from .fpx import (
     LaurentTrunc,
     TruncSeries,
-    align,
     mul_schoolbook,
     parse_series,
     render_series,
@@ -52,12 +51,11 @@ from .fpx import (
 from .groups import (
     FiniteGroup,
     GroupHom,
-    LamplighterGroup,
-    SemidirectElement,
     build_lamplighter,
     cyclic_group,
     elementary_abelian,
     hopf_quotient,
+    lamplighter_socle,
 )
 from .homology import (
     FiveTermReport,
@@ -89,7 +87,6 @@ __all__ = [
     # series
     "TruncSeries",
     "LaurentTrunc",
-    "align",
     "mul_schoolbook",
     "render_series",
     "parse_series",
@@ -132,11 +129,10 @@ __all__ = [
     # groups
     "FiniteGroup",
     "GroupHom",
-    "LamplighterGroup",
-    "SemidirectElement",
     "cyclic_group",
     "elementary_abelian",
     "build_lamplighter",
+    "lamplighter_socle",
     "hopf_quotient",
     # homology
     "minres_h2",

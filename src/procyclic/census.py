@@ -23,11 +23,12 @@ Everything runs on int64 coefficient arrays, one row per series:
   admissible denominator x^v * u costs one inversion of u and one matmul:
   the numerators divisible by x^v, shifted down by v, times the
   upper-triangular Toeplitz matrix of u^(-1).  A product entry is a sum of
-  at most prec terms below p^2, so it stays under
-  MAX_CENSUS_PRECISION * MAX_PRIME^2 = 2^48 < 2^63 and the int64 matmul is
-  exact; the bound is checked with a raise before any product.  The top v
-  coefficients of a solution are free, so each product row stands for the
-  p^v packed words base + q * p^(prec - v), q < p^v.
+  at most prec terms below p^2 <= prec^2, and MAX_CENSUS_WORK caps
+  prec^4 <= p^(2i(n+1)) at 2^32, so it stays under prec^3 <= 2^24 < 2^63
+  and the int64 matmul is exact; the bound is checked with a raise before
+  any product.  The top v coefficients of a solution are free, so each
+  product row stands for the p^v packed words base + q * p^(prec - v),
+  q < p^v.
 
 Sets are stored as hash sets of packed words: a series is packed as the
 integer sum(c_j * p^j).  ``_pack_rows`` packs many rows at once: b digits
@@ -76,9 +77,11 @@ __all__ = [
     "mu",
 ]
 
-MAX_CENSUS_PRECISION = 1 << 16
 # ratio-set work p^(2i(n+1)) above this is refused (see the module docstring)
 MAX_CENSUS_WORK = 1 << 32
+# enum_A holds p^i packed words of p^i digits, prec^2 * bit_length(p - 1)
+# bits in all; above 2^28 bits (32 MiB) it is refused, so prec <= 2^14
+MAX_CENSUS_BITS = 1 << 28
 
 # rows generated and packed at a time; bounds the transient arrays
 _BLOCK_ROWS = 16
@@ -175,9 +178,11 @@ def enum_A(p: int, i: int) -> CensusSet:
     if i < 1:
         raise UsageError("census level must be >= 1")
     prec = p**i
-    if prec > MAX_CENSUS_PRECISION:
+    bits = prec * prec * (p - 1).bit_length()
+    if bits > MAX_CENSUS_BITS:
         raise ResourceLimitError(
-            f"census level {i} needs precision {prec} > {MAX_CENSUS_PRECISION}"
+            f"census at p={p}, level {i} holds {prec} words of {prec} digits, "
+            f"{bits} bits > {MAX_CENSUS_BITS}"
         )
     elements = frozenset(
         itertools.chain.from_iterable(_pack_rows(b, p) for b in _power_blocks(p, prec))
@@ -413,7 +418,4 @@ def kappa(laurent: LaurentTrunc) -> TensorRep:
 
 def mu(rep: TensorRep) -> LaurentTrunc:
     """Multiply out a tensor representative: left * x^(-shift)."""
-    if rep.left.is_zero():
-        return LaurentTrunc.zero(rep.left.p, rep.left.prec)
-    v = rep.left.valuation()
-    return LaurentTrunc(v - rep.shift, rep.left.shift_down(v))
+    return LaurentTrunc.from_series(rep.left, -rep.shift)

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands cover each verification family plus a full-suite `report`.
-Exit codes: 0 when every executed check passed, 1 when a check failed,
-2 for usage errors, 3 when a size budget was exceeded.
+Each subcommand returns its JSON document, its text and a status; `main`
+alone writes the output and maps the status to the exit code: 0 when
+every executed check passed, 1 when a check failed, 2 for usage errors,
+3 when a size budget was exceeded.
 
 Exponent arguments accept either a decimal integer of any size and sign
 or an explicit little-endian digit list such as ``1,0,2``.
@@ -18,7 +20,7 @@ from . import __version__
 from .census import density_gap, enum_A
 from .cycmod import antipode_iso_check, regular_antipode, regular_module
 from .errors import ResourceLimitError, SearchExhaustedError, UsageError
-from .fpx import TruncSeries, parse_series, render_series
+from .fpx import TruncSeries, parse_series, render_series, validate_prime
 from .groups import FiniteGroup, build_lamplighter, cyclic_group, elementary_abelian
 from .homology import minres_h2, tower_report
 from .padic import PadicInt
@@ -26,6 +28,7 @@ from .reporting import (
     DEFAULT_SEED,
     SECTION_ORDER,
     census_rows,
+    format_row,
     json_header,
     run_report,
     section_antipode_bijection,
@@ -34,10 +37,10 @@ from .reporting import (
 )
 from .taumap import min_digit_precision, sigma, tau
 
-EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+# exit code of each subcommand status: "stopped" means a size budget cut a run short
+STATUS_EXIT = {"pass": 0, "fail": 1, "stopped": EXIT_RESOURCE}
 
 
 def _parse_int(text: str) -> int:
@@ -51,6 +54,9 @@ def _parse_exponent(text: str, p: int, min_prec: int) -> PadicInt:
     text = text.strip()
     if "," in text:
         digits = [_parse_int(part) for part in text.split(",") if part.strip() != ""]
+        bad = [d for d in digits if not 0 <= d < p]
+        if bad:
+            raise UsageError(f"digit {bad[0]} is not in [0, {p})")
         if len(digits) < min_prec:
             raise UsageError(
                 f"digit list has {len(digits)} digits; precision {min_prec} needed"
@@ -78,7 +84,11 @@ def _wrap(command: str, body: dict) -> dict:
 # -- subcommand implementations -------------------------------------------
 
 
-def _cmd_verify_frobenius(args) -> int:
+def _status(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _cmd_verify_frobenius(args):
     if args.imax < 1:
         raise UsageError("imax must be >= 1, or no identity is checked")
     section = section_frobenius(primes=(args.p,), i_max=args.imax, prec=args.prec)
@@ -87,11 +97,11 @@ def _cmd_verify_frobenius(args) -> int:
     ]
     for row in section.rows:
         lines.append(f"  i={row['i']}: exact={row['exact']}")
-    _emit(_wrap("verify-frobenius", section.to_json_dict()), "\n".join(lines) + "\n", args)
-    return EXIT_OK if section.status == "pass" else EXIT_CHECK_FAILED
+    doc = _wrap("verify-frobenius", section.to_json_dict())
+    return doc, "\n".join(lines) + "\n", section.status
 
 
-def _cmd_tau(args) -> int:
+def _cmd_tau(args):
     needed = min_digit_precision(args.p, args.prec)
     alpha = _parse_exponent(args.alpha, args.p, needed)
     series = tau(alpha, args.prec)
@@ -105,18 +115,18 @@ def _cmd_tau(args) -> int:
             "coefficients": [int(c) for c in series.coeffs],
         },
     )
-    text = f"{render_series(series)}\n{series.to_json()}\n"
-    _emit(doc, text, args)
-    return EXIT_OK
+    return doc, f"{render_series(series)}\n{series.to_json()}\n", "pass"
 
 
-def _cmd_antipode_check(args) -> int:
+def _cmd_antipode_check(args):
     import random
 
     if args.trials < 1:
         raise UsageError("trials must be >= 1, or no series identity is checked")
+    if args.imax < 1:
+        raise UsageError("imax must be >= 1, or no module bijection is checked")
     rng = random.Random(args.seed)
-    p, prec = args.p, args.prec
+    p, prec = validate_prime(args.p), args.prec
     ok = True
     rows = []
     inv_ok = hom_ok = 0
@@ -148,16 +158,12 @@ def _cmd_antipode_check(args) -> int:
             "module_checks": module_section.to_json_dict(),
         },
     )
-    lines = [f"antipode checks p={p} prec={prec}: {'pass' if ok else 'fail'}"]
-    for row in rows:
-        lines.append("  " + ", ".join(f"{k}={v}" for k, v in row.items()))
-    for row in module_section.rows:
-        lines.append("  " + ", ".join(f"{k}={v}" for k, v in row.items()))
-    _emit(doc, "\n".join(lines) + "\n", args)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    lines = [f"antipode checks p={p} prec={prec}: {_status(ok)}"]
+    lines += ["  " + format_row(row) for row in rows + module_section.rows]
+    return doc, "\n".join(lines) + "\n", _status(ok)
 
 
-def _cmd_coinv(args) -> int:
+def _cmd_coinv(args):
     check = antipode_iso_check(
         regular_module(args.p, args.i), regular_antipode(args.p, args.i)
     )
@@ -176,12 +182,10 @@ def _cmd_coinv(args) -> int:
         f"p={args.p} i={args.i}: coinv_dim={coinv_dim} "
         f"tensor_gr_dim={tensor_dim} antipode_bijective={check.bijective}\n"
     )
-    _emit(doc, text, args)
-    ok = coinv_dim == tensor_dim == args.i and check.bijective
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return doc, text, _status(coinv_dim == tensor_dim == args.i and check.bijective)
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     alpha = [_parse_int(v) for v in args.alpha.split(",")] if args.alpha else [1] * args.n
     beta = [_parse_int(v) for v in args.beta.split(",")] if args.beta else [1] * args.n
     if len(alpha) != args.n or len(beta) != args.n:
@@ -207,19 +211,16 @@ def _cmd_census(args) -> int:
             f"{row['level']:>5} {row['size']:>8} {row['bound']:>12} "
             f"{row['ambient']:>12} {row['ratio']:.6g}"
         )
-    _emit(doc, "\n".join(lines) + "\n", args)
-    ok = all(row["within_bound"] for row in rows)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return doc, "\n".join(lines) + "\n", _status(all(row["within_bound"] for row in rows))
 
 
-def _cmd_density_gap(args) -> int:
-    f = (
-        parse_series(args.f, args.p, args.p**args.s)
-        if args.f
-        else TruncSeries.zero(args.p, max(2, args.p**args.s))
-    )
+def _cmd_density_gap(args):
+    p = validate_prime(args.p)
+    if args.s < 0:
+        raise UsageError("s must be >= 0")
+    f = parse_series(args.f, p, p**args.s) if args.f else TruncSeries.zero(p, max(2, p**args.s))
     try:
-        result = density_gap(lambda level: enum_A(args.p, level), f, args.s, args.imax)
+        result = density_gap(lambda level: enum_A(p, level), f, args.s, args.imax)
     except SearchExhaustedError as exc:
         doc = _wrap(
             "density-gap",
@@ -228,8 +229,7 @@ def _cmd_density_gap(args) -> int:
         lines = ["no gap found"]
         for level, size, cosets in exc.counts:
             lines.append(f"  level {level}: census={size} cosets={cosets}")
-        _emit(doc, "\n".join(lines) + "\n", args)
-        return EXIT_CHECK_FAILED
+        return doc, "\n".join(lines) + "\n", "fail"
     doc = _wrap(
         "density-gap",
         {
@@ -248,8 +248,7 @@ def _cmd_density_gap(args) -> int:
     for level, size, cosets in result.log:
         lines.append(f"  level {level}: census={size} cosets={cosets}")
     lines.append(f"  scanned {result.scanned} coset representative(s)")
-    _emit(doc, "\n".join(lines) + "\n", args)
-    return EXIT_OK
+    return doc, "\n".join(lines) + "\n", "pass"
 
 
 def _build_named_group(kind: str, p: int, i: int) -> FiniteGroup:
@@ -264,7 +263,7 @@ def _build_named_group(kind: str, p: int, i: int) -> FiniteGroup:
     raise UsageError(f"unknown group kind {kind!r}")
 
 
-def _cmd_h2(args) -> int:
+def _cmd_h2(args):
     if args.group_file:
         try:
             with open(args.group_file) as fh:
@@ -287,11 +286,11 @@ def _cmd_h2(args) -> int:
             "h2_dim": dim,
         },
     )
-    _emit(doc, f"H2({label}; F_{group.p}) has dimension {dim} (order {group.order})\n", args)
-    return EXIT_OK
+    text = f"H2({label}; F_{group.p}) has dimension {dim} (order {group.order})\n"
+    return doc, text, "pass"
 
 
-def _cmd_tower(args) -> int:
+def _cmd_tower(args):
     report = tower_report(args.p, args.imax)
     rows = [{**tower_row(row), "elab_h2": row.elab_h2} for row in report.rows]
     doc = _wrap(
@@ -316,17 +315,15 @@ def _cmd_tower(args) -> int:
         )
     if not report.complete:
         lines.append(f"stopped: {report.stopped_reason}")
-    _emit(doc, "\n".join(lines) + "\n", args)
-    if not report.complete:
-        return EXIT_RESOURCE
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    status = _status(report.passed) if report.complete else "stopped"
+    return doc, "\n".join(lines) + "\n", status
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     sections = None if args.all else (args.section or None)
     doc = run_report(sections=sections, seed=args.seed, with_timings=args.timings)
-    _emit(doc.to_json_dict(), doc.render_text(), args)
-    return EXIT_OK if doc.passed else EXIT_CHECK_FAILED
+    # the report document has no "command" key, unlike the subcommands'
+    return doc.to_json_dict(), doc.render_text(), _status(doc.passed)
 
 
 # -- argument wiring --------------------------------------------------------
@@ -426,13 +423,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        doc, text, status = args.func(args)
+        _emit(doc, text, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    return STATUS_EXIT[status]
 
 
 if __name__ == "__main__":

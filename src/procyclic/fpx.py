@@ -14,7 +14,7 @@ never carry into each other.  Both paths produce identical results; the
 schoolbook path doubles as the test oracle.
 
 Binary operations require equal primes and equal precisions; use
-``align`` to truncate a pair to their common precision when mixing
+``truncate()`` to bring an operand down to a common precision when mixing
 precisions on purpose.
 """
 
@@ -32,7 +32,6 @@ __all__ = [
     "TruncSeries",
     "LaurentTrunc",
     "validate_prime",
-    "align",
     "mul_schoolbook",
     "render_series",
     "parse_series",
@@ -140,7 +139,7 @@ class TruncSeries:
         if self.prec != other.prec:
             raise UsageError(
                 f"mixed precisions {self.prec} and {other.prec}; "
-                "use align() to truncate explicitly"
+                "use truncate() to reduce one explicitly"
             )
 
     def truncate(self, prec: int) -> "TruncSeries":
@@ -166,9 +165,6 @@ class TruncSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
-
-    def is_unit(self) -> bool:
-        return self.coeffs[0] != 0
 
     def shift_up(self, k: int) -> "TruncSeries":
         """Multiply by x^k, growing precision by k (no information loss)."""
@@ -296,18 +292,6 @@ class TruncSeries:
 
     def to_json(self) -> str:
         return json.dumps([int(c) for c in self.coeffs])
-
-
-def align(a: TruncSeries, b: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
-    """Truncate a pair to their common (minimum) precision.
-
-    This is the explicit opt-in for mixed-precision operands; the binary
-    operators themselves refuse to guess.
-    """
-    if a.p != b.p:
-        raise UsageError(f"mixed primes {a.p} and {b.p}")
-    m = min(a.prec, b.prec)
-    return a.truncate(m), b.truncate(m)
 
 
 # -- multiplication kernels --------------------------------------------

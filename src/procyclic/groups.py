@@ -29,21 +29,19 @@ power the mod-p Hopf quotient.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError, env_budget
-from .fpx import TruncSeries, validate_prime
+from .fpx import validate_prime
 
 __all__ = [
     "FiniteGroup",
     "GroupHom",
-    "SemidirectElement",
-    "LamplighterGroup",
     "cyclic_group",
     "elementary_abelian",
     "build_lamplighter",
+    "lamplighter_socle",
     "hopf_quotient",
     "max_group_order",
 ]
@@ -182,29 +180,6 @@ class FiniteGroup:
             n >>= 1
         return result
 
-    def conjugate(self, a: int, g: int) -> int:
-        """g^(-1) a g."""
-        return self.mul(self.mul(self.inv(g), a), g)
-
-    def commutator(self, a: int, b: int) -> int:
-        """a^(-1) b^(-1) a b."""
-        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
-
-    def element_order(self, a: int) -> int:
-        n = 1
-        cur = a
-        while cur != self.identity:
-            cur = self.mul(cur, a)
-            n += 1
-        return n
-
-    def center(self) -> list[int]:
-        tab = self.table
-        return [a for a in range(self.order) if np.array_equal(tab[a], tab[:, a])]
-
-    def is_abelian(self) -> bool:
-        return np.array_equal(self.table, self.table.T)
-
     # -- subgroup machinery ---------------------------------------------
 
     def subgroup_closure(self, generators) -> frozenset[int]:
@@ -214,32 +189,37 @@ class FiniteGroup:
         _right_closure(self.table, reached, sorted(set(int(g) for g in generators)))
         return frozenset(np.flatnonzero(reached).tolist())
 
+    def _mask(self, elements) -> np.ndarray:
+        """Membership mask of an index list or array (dedupe without np.unique)."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[elements] = True
+        return mask
+
     def is_subgroup(self, elements) -> bool:
-        s = set(int(x) for x in elements)
-        if self.identity not in s:
-            return False
-        return all(self.mul(a, b) in s for a in s for b in s)
+        h = sorted(set(int(x) for x in elements))
+        mask = self._mask(h)
+        return bool(mask[self.identity]) and bool(mask[self.table[np.ix_(h, h)]].all())
 
     def is_normal(self, elements) -> bool:
-        s = set(int(x) for x in elements)
-        if not self.is_subgroup(s):
+        h = sorted(set(int(x) for x in elements))
+        if not self.is_subgroup(h):
             return False
-        return all(self.conjugate(h, g) in s for h in s for g in range(self.order))
+        tab, g = self.table, np.arange(self.order)
+        # every conjugate g^(-1) x g, g in G (rows), x in H (columns), in one gather
+        return bool(self._mask(h)[tab[tab[np.ix_(self.inverses, h)], g[:, None]]].all())
 
     def commutator_p_subgroup(self) -> frozenset[int]:
         """[G, G] G^p: the kernel of the maximal elementary abelian quotient."""
-        tab, inv = self.table, self.inverses
-        # every commutator a^(-1) b^(-1) a b in one table gather
-        gens = set(tab[tab[np.ix_(inv, inv)], tab].ravel().tolist())
-        gens |= {self.power(a, self.p) for a in range(self.order)}
-        return self.subgroup_closure(gens)
+        return self.relative_commutator_p(range(self.order))
 
     def relative_commutator_p(self, h_elements) -> frozenset[int]:
         """[H, G] H^p for a subgroup H given as an index set."""
         h = sorted(set(int(x) for x in h_elements))
-        gens = {self.commutator(x, g) for x in h for g in range(self.order)}
-        gens |= {self.power(x, self.p) for x in h}
-        return self.subgroup_closure(gens)
+        tab, inv = self.table, self.inverses
+        # every commutator x^(-1) g^(-1) x g, x in H (rows), g in G, in one gather
+        gens = self._mask(tab[tab[np.ix_(inv[h], inv)], tab[h]])
+        gens[[self.power(x, self.p) for x in h]] = True
+        return self.subgroup_closure(np.flatnonzero(gens))
 
     def quotient(self, h_elements) -> tuple["FiniteGroup", "GroupHom"]:
         """Quotient by a normal subgroup, with the projection homomorphism."""
@@ -367,86 +347,18 @@ def _word_sums(p: int, width: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
-    """Structured element (coords; n) of a lamplighter quotient."""
+def build_lamplighter(p: int, i: int, copies: int = 2) -> FiniteGroup:
+    """(F_p[x]/(x^i))^copies semidirect Z/p^i with the 1-x shift action.
 
-    coords: tuple[TruncSeries, ...]
-    n: int
+    Element index layout: the coordinate series come first as base-p
+    digits, coefficient of x^j of coordinate c at digit j + i c, and the
+    cyclic part n is the most significant word,
 
-    @property
-    def v(self) -> TruncSeries:
-        return self.coords[0]
+        index = sum_c sum_j u_c[j] p^(j + i c)  +  n p^(i copies).
 
-    @property
-    def w(self) -> TruncSeries:
-        if len(self.coords) < 2:
-            raise UsageError("single-copy element has no second coordinate")
-        return self.coords[1]
-
-
-class LamplighterGroup(FiniteGroup):
-    """Lamplighter quotient with element encode/decode helpers.
-
-    Element index layout: base-p digits of all coordinate series, lowest
-    coordinate first, then the cyclic part as the most significant word.
+    So the base subgroup is ``range(p**(i * copies))``; see
+    `lamplighter_socle` for the central socle.
     """
-
-    __slots__ = ("level", "copies", "cyclic_order")
-
-    def __init__(self, p, table, level, copies, cyclic_order, generator_names):
-        super().__init__(p, table, generator_names=generator_names)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "copies", copies)
-        object.__setattr__(self, "cyclic_order", cyclic_order)
-
-    def encode(self, element: SemidirectElement) -> int:
-        if len(element.coords) != self.copies:
-            raise UsageError(f"element must have {self.copies} coordinates")
-        i = self.level
-        idx = element.n % self.cyclic_order
-        for series in reversed(element.coords):
-            if series.p != self.p or series.prec != i:
-                raise UsageError("coordinate series at the wrong prime or precision")
-            for c in series.coeffs[::-1]:
-                idx = idx * self.p + int(c)
-        return idx
-
-    def decode(self, index: int) -> SemidirectElement:
-        i, p = self.level, self.p
-        coords = []
-        for _ in range(self.copies):
-            digits = np.zeros(i, dtype=np.int64)
-            for j in range(i):
-                index, digits[j] = divmod(index, p)
-            coords.append(TruncSeries(p, digits, i))
-        return SemidirectElement(coords=tuple(coords), n=index)
-
-    def socle_indices(self, coordinate: int = 0) -> frozenset[int]:
-        """The central subgroup generated by x^(i-1) in one coordinate.
-
-        These are the base elements killed by 1 - T, so they commute with
-        everything; handy as a small normal subgroup.
-        """
-        if not 0 <= coordinate < self.copies:
-            raise UsageError("no such coordinate")
-        members = set()
-        for c in range(self.p):
-            coords = [TruncSeries.zero(self.p, self.level) for _ in range(self.copies)]
-            coords[coordinate] = TruncSeries.monomial(
-                self.p, self.level, self.level - 1, c
-            )
-            members.add(self.encode(SemidirectElement(tuple(coords), 0)))
-        return frozenset(members)
-
-    def base_indices(self) -> frozenset[int]:
-        """The normal subgroup of all elements with trivial cyclic part."""
-        count = self.p ** (self.level * self.copies)
-        return frozenset(range(count))
-
-
-def build_lamplighter(p: int, i: int, copies: int = 2) -> LamplighterGroup:
-    """(F_p[x]/(x^i))^copies semidirect Z/p^i with the 1-x shift action."""
     p = validate_prime(p)
     if i < 1:
         raise UsageError("level i must be >= 1")
@@ -490,15 +402,19 @@ def build_lamplighter(p: int, i: int, copies: int = 2) -> LamplighterGroup:
         n_sum = ((n_part + nb) % cyclic_order) * n_weight
         table[:, nb * n_weight : (nb + 1) * n_weight] = summed + n_sum[:, None]
 
-    names = ("a", "b", "c")[: copies + 1]
-    return LamplighterGroup(
-        p,
-        table,
-        level=i,
-        copies=copies,
-        cyclic_order=cyclic_order,
-        generator_names=names,
-    )
+    return FiniteGroup(p, table, generator_names=("a", "b", "c")[: copies + 1])
+
+
+def lamplighter_socle(p: int, i: int, copies: int, coordinate: int = 0) -> frozenset[int]:
+    """Indices of the subgroup x^(i-1) F_p in one coordinate of `build_lamplighter`.
+
+    These base elements are killed by 1 - T, so they are central: a small
+    normal subgroup.  In the index layout, c x^(i-1) in coordinate k is
+    c p^(i-1 + i k).
+    """
+    if not 0 <= coordinate < copies:
+        raise UsageError(f"no coordinate {coordinate} in {copies} copies")
+    return frozenset(c * p ** (i - 1 + i * coordinate) for c in range(p))
 
 
 def hopf_quotient(group: FiniteGroup, h_elements) -> int:

@@ -55,10 +55,6 @@ class FpMatrix:
         raise AttributeError("FpMatrix is immutable")
 
     @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
         return cls(p, np.eye(n, dtype=np.int64))
 

@@ -34,7 +34,13 @@ from .cycmod import (
 )
 from .errors import SearchExhaustedError, UsageError
 from .fpx import LaurentTrunc, TruncSeries
-from .groups import build_lamplighter, cyclic_group, elementary_abelian, max_group_order
+from .groups import (
+    build_lamplighter,
+    cyclic_group,
+    elementary_abelian,
+    lamplighter_socle,
+    max_group_order,
+)
 from .homology import TowerRow, bar_h2, five_term_check, max_bar_order, tower_report
 from .padic import PadicInt
 from .taumap import min_digit_precision, tau
@@ -69,6 +75,11 @@ class Section:
         return doc
 
 
+def format_row(row: dict) -> str:
+    """A row as ``k=v, k=v, ...``, the one text form of a section row."""
+    return ", ".join(f"{k}={v}" for k, v in row.items())
+
+
 def json_header() -> dict:
     """The keys every JSON document of the tool starts with."""
     return {"schema_version": 1, "tool": "procyclic", "version": _version}
@@ -100,9 +111,7 @@ class ReportDocument:
                 f"  [{section.timing_s:.3f}s]" if section.timing_s is not None else ""
             )
             lines.append(f"[{mark}] {section.name}{suffix}")
-            for row in section.rows:
-                body = ", ".join(f"{k}={v}" for k, v in row.items())
-                lines.append(f"    {body}")
+            lines += ["    " + format_row(row) for row in section.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -340,13 +349,13 @@ def _five_term_pairs():
     g1 = elementary_abelian(2, 2)
     yield "(Z/2)^2 / diagonal", g1, g1.subgroup_closure([3])
     lamp = build_lamplighter(2, 2, 1)
-    yield "lamplighter(2,2,1) / socle", lamp, lamp.socle_indices(0)
+    yield "lamplighter(2,2,1) / socle", lamp, lamplighter_socle(2, 2, 1)
     z4 = cyclic_group(2, 2)
     yield "Z/4 / 2Z/4", z4, z4.subgroup_closure([2])
     g3 = elementary_abelian(3, 2)
     yield "(Z/3)^2 / diagonal", g3, g3.subgroup_closure([g3.mul(1, 3)])
     dl1 = build_lamplighter(2, 1, 2)
-    yield "DL(1) / socle coordinate", dl1, dl1.socle_indices(0)
+    yield "DL(1) / socle coordinate", dl1, lamplighter_socle(2, 1, 2)
     z9 = cyclic_group(3, 2)
     yield "Z/9 / 3Z/9", z9, z9.subgroup_closure([3])
 

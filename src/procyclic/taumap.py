@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import UsageError
-from .fpx import TruncSeries
+from .fpx import TruncSeries, validate_prime
 from .padic import PadicInt
 
 __all__ = ["tau", "sigma", "act", "min_digit_precision"]
@@ -30,6 +30,7 @@ def min_digit_precision(p: int, prec: int) -> int:
 
     This is the count of i with p^i < prec, i.e. ceil(log_p(prec)).
     """
+    p = validate_prime(p)  # p < 2 would never reach prec
     k = 0
     q = 1
     while q < prec:

@@ -23,6 +23,7 @@ from procyclic import (
     enum_A,
     five_term_check,
     kappa,
+    lamplighter_socle,
     min_digit_precision,
     mu,
     regular_antipode,
@@ -176,10 +177,10 @@ def test_09_five_term_exactness():
     dl1 = build_lamplighter(2, 1, 2)
     pairs = [
         (g1, g1.subgroup_closure([3])),  # diagonal
-        (lamp, lamp.socle_indices(0)),
+        (lamp, lamplighter_socle(2, 2, 1)),
         (z4, z4.subgroup_closure([2])),
         (g3, g3.subgroup_closure([g3.mul(1, 3)])),
-        (dl1, dl1.socle_indices(0)),
+        (dl1, lamplighter_socle(2, 1, 2)),
     ]
     ok = len(pairs) >= 5
     for group, subgroup in pairs:

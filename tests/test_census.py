@@ -166,6 +166,26 @@ def test_enum_A_budget():
         enum_A(2, 0)
 
 
+class _Admitted(Exception):
+    pass
+
+
+def test_enum_A_bit_budget_refuses_before_any_work(monkeypatch):
+    import procyclic.census
+
+    def no_work(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(procyclic.census, "_power_blocks", no_work)
+    # prec^2 * bit_length(p - 1) bits against 2^28; the refused calls never run
+    for p, i in ((2, 15), (2, 16), (3, 9), (5, 6), (65521, 1)):
+        with pytest.raises(ResourceLimitError, match=f"census at p={p}, level {i} "):
+            enum_A(p, i)
+    for p, i in ((2, 14), (3, 8), (5, 5), (251, 1)):
+        with pytest.raises(_Admitted):
+            enum_A(p, i)
+
+
 @pytest.mark.parametrize(
     "p,prec",
     [(2, n) for n in (1, 61, 62, 63, 64, 128)]

@@ -92,6 +92,27 @@ def test_census_over_budget_exits_3_before_any_work(argv, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["density-gap", "--p", "65521", "--s", "0", "--imax", "1"],
+        ["density-gap", "--p", "2", "--s", "15", "--imax", "1", "--json"],
+    ),
+)
+def test_enum_A_over_budget_exits_3_before_any_work(argv, capsys, monkeypatch):
+    import procyclic.census
+
+    def no_work(*args):
+        raise AssertionError("the powers of 1 - x were started")
+
+    monkeypatch.setattr(procyclic.census, "_power_blocks", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"resource limit: census at p={argv[2]}, level ")
+    assert "Traceback" not in err
+
+
 def test_density_gap(capsys):
     code, out, _ = run_cli(capsys, "density-gap", "--p", "2", "--s", "1", "--imax", "4", "--json")
     assert code == 0
@@ -185,6 +206,11 @@ BAD_INPUTS = {
     "frobenius-prec-zero": ({}, None, ["verify-frobenius", "--p", "2", "--prec", "0"]),
     "antipode-trials-zero": ({}, None, ["antipode-check", "--p", "2", "--trials", "0"]),
     "antipode-trials-negative": ({}, None, ["antipode-check", "--p", "2", "--trials", "-3"]),
+    "antipode-imax-zero": ({}, None, ["antipode-check", "--p", "2", "--imax", "0"]),
+    "antipode-imax-negative": ({}, None, ["antipode-check", "--p", "3", "--imax", "-1"]),
+    "tau-digit-above-p": ({}, None, ["tau", "--p", "2", "--alpha", "1,2,3", "--prec", "8"]),
+    "tau-digit-equal-p": ({}, None, ["tau", "--p", "3", "--alpha", "0,3,0", "--prec", "9"]),
+    "tau-digit-negative": ({}, None, ["tau", "--p", "3", "--alpha=-1,0,0", "--prec", "9"]),
 }
 
 

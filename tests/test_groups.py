@@ -9,14 +9,21 @@ from procyclic import (
     FiniteGroup,
     GroupHom,
     ResourceLimitError,
-    SemidirectElement,
-    TruncSeries,
     UsageError,
     build_lamplighter,
     cyclic_group,
     elementary_abelian,
     hopf_quotient,
+    lamplighter_socle,
 )
+
+
+def _is_abelian(g):
+    return np.array_equal(g.table, g.table.T)
+
+
+def _center(g):
+    return {a for a in range(g.order) if np.array_equal(g.table[a], g.table[:, a])}
 
 
 # -- builders -------------------------------------------------------------------
@@ -25,8 +32,8 @@ from procyclic import (
 def test_cyclic_group_basics():
     g = cyclic_group(3, 2)
     assert g.order == 9
-    assert g.is_abelian()
-    assert g.element_order(1) == 9
+    assert _is_abelian(g)
+    assert g.power(1, 3) != g.identity  # 1 has order 9
     assert g.power(1, 9) == g.identity
     assert g.inv(4) == 5
 
@@ -34,30 +41,30 @@ def test_cyclic_group_basics():
 def test_elementary_abelian_basics():
     g = elementary_abelian(2, 3)
     assert g.order == 8
-    assert g.is_abelian()
+    assert _is_abelian(g)
     assert all(g.mul(a, a) == g.identity for a in range(8))
 
 
 def test_lamplighter_level_one_double_is_elementary_abelian():
     g = build_lamplighter(2, 1, 2)
     assert g.order == 8
-    assert g.is_abelian()
+    assert _is_abelian(g)
     assert all(g.mul(a, a) == g.identity for a in range(8))
 
 
 def test_lamplighter_level_one_single_p3():
     g = build_lamplighter(3, 1, 1)
     assert g.order == 9
-    assert g.is_abelian()
+    assert _is_abelian(g)
 
 
 def test_lamplighter_level_two_double_nonabelian_with_central_socle():
     g = build_lamplighter(2, 2, 2)
     assert g.order == 64
-    assert not g.is_abelian()
-    center = set(g.center())
-    assert g.socle_indices(0) <= center
-    assert g.socle_indices(1) <= center
+    assert not _is_abelian(g)
+    center = _center(g)
+    assert lamplighter_socle(2, 2, 2, 0) <= center
+    assert lamplighter_socle(2, 2, 2, 1) <= center
 
 
 def test_lamplighter_order_formula():
@@ -81,43 +88,43 @@ def test_budget_override(monkeypatch):
     assert build_lamplighter(2, 2, 1).order == 16
 
 
-def test_encode_decode_roundtrip():
-    g = build_lamplighter(2, 2, 2)
-    for idx in range(0, g.order, 7):
-        elem = g.decode(idx)
-        assert g.encode(elem) == idx
-    elem = SemidirectElement(
-        (TruncSeries(2, [1, 0], 2), TruncSeries(2, [0, 1], 2)), 3
-    )
-    idx = g.encode(elem)
-    back = g.decode(idx)
-    assert back.v == elem.v and back.w == elem.w and back.n == 3
-
-
 def test_semidirect_convention():
-    # (u, n) * (u', n') = (u . T^(n') + u', n + n') with T = mult by 1 - x
+    # (u, n) * (u', n') = (u . T^(n') + u', n + n') with T = mult by 1 - x;
+    # index = u[0] + 2 u[1] + 4 n, so 1 is (1; t^0) and 4 is (0; t^1)
     g = build_lamplighter(2, 2, 1)
-    u = SemidirectElement((TruncSeries(2, [1, 0], 2),), 0)  # (1; t^0)
-    t = SemidirectElement((TruncSeries.zero(2, 2),), 1)  # (0; t^1)
-    prod = g.decode(g.mul(g.encode(u), g.encode(t)))
-    # applying T to 1 gives 1 + x
-    assert prod.n == 1
-    assert prod.v == TruncSeries(2, [1, 1], 2)
-    prod2 = g.decode(g.mul(g.encode(t), g.encode(u)))
-    assert prod2.n == 1
-    assert prod2.v == TruncSeries(2, [1, 0], 2)
+    assert g.mul(1, 4) == 7  # applying T to 1 gives 1 + x: (1 + x; t^1)
+    assert g.mul(4, 1) == 5  # (1; t^1)
 
 
 def test_socle_is_normal_and_small():
     g = build_lamplighter(2, 2, 1)
-    soc = g.socle_indices(0)
-    assert len(soc) == 2
+    soc = lamplighter_socle(2, 2, 1)
+    assert soc == {0, 2}  # 0 and x in the one coordinate
     assert g.is_normal(soc)
 
 
+@pytest.mark.parametrize("p,i,copies", [(2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1)])
+def test_lamplighter_socle_is_the_fixed_line_of_each_coordinate(p, i, copies):
+    # the kernel of 1 - T on F_p[x]/(x^i) is x^(i-1) F_p: the elements of
+    # coordinate k that commute with the cyclic generator (0; t^1)
+    g = build_lamplighter(p, i, copies)
+    t = p ** (i * copies)
+    for k in range(copies):
+        coordinate = [v * p ** (i * k) for v in range(p**i)]
+        fixed = {u for u in coordinate if g.mul(u, t) == g.mul(t, u)}
+        soc = lamplighter_socle(p, i, copies, k)
+        assert soc == fixed and len(soc) == p
+        assert soc <= _center(g)
+    with pytest.raises(UsageError):
+        lamplighter_socle(p, i, copies, copies)
+    with pytest.raises(UsageError):
+        lamplighter_socle(p, i, copies, -1)
+
+
 def test_base_subgroup_is_normal():
-    g = build_lamplighter(2, 2, 1)
-    base = g.base_indices()
+    p, i, copies = 2, 2, 1
+    g = build_lamplighter(p, i, copies)
+    base = range(p ** (i * copies))
     assert len(base) == 4
     assert g.is_normal(base)
 
@@ -291,6 +298,40 @@ def test_commutator_p_subgroup():
     assert dl2.order // len(frattini) == 8
 
 
+def _relative_commutator_p_oracle(g, h):
+    """[H, G] H^p one commutator x^(-1) y^(-1) x y at a time."""
+    gens = {g.mul(g.mul(g.inv(x), g.inv(y)), g.mul(x, y)) for x in h for y in range(g.order)}
+    gens |= {g.power(x, g.p) for x in h}
+    return g.subgroup_closure(gens)
+
+
+def _is_normal_oracle(g, h):
+    h = set(h)
+    closed = g.identity in h and all(g.mul(a, b) in h for a in h for b in h)
+    return closed and all(g.mul(g.mul(g.inv(y), x), y) in h for x in h for y in range(g.order))
+
+
+@pytest.mark.parametrize("p,i,copies", [(2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1)])
+def test_gathers_match_per_element_oracles(p, i, copies):
+    g = build_lamplighter(p, i, copies)
+    frattini = g.commutator_p_subgroup()
+    assert frattini == _relative_commutator_p_oracle(g, range(g.order))
+    subsets = [
+        {g.identity},
+        lamplighter_socle(p, i, copies),
+        set(range(p ** (i * copies))),  # the base
+        g.subgroup_closure([1]),
+        g.subgroup_closure([p ** (i * copies)]),  # the cyclic part
+        frattini,
+        set(range(g.order)),
+        {1},  # not a subgroup
+    ]
+    for h in subsets:
+        assert g.is_normal(h) == _is_normal_oracle(g, h), h
+        if g.is_subgroup(h):
+            assert g.relative_commutator_p(h) == _relative_commutator_p_oracle(g, h)
+
+
 def test_quotient_group():
     z4 = cyclic_group(2, 2)
     q, hom = z4.quotient([0, 2])
@@ -299,9 +340,7 @@ def test_quotient_group():
     assert hom(1) != q.identity
     with pytest.raises(UsageError):
         lamp = build_lamplighter(2, 2, 1)
-        nonnormal = lamp.subgroup_closure([lamp.encode(
-            SemidirectElement((TruncSeries(2, [1, 0], 2),), 0)
-        )])
+        nonnormal = lamp.subgroup_closure([1])  # the base element 1
         lamp.quotient(nonnormal)
 
 
@@ -339,14 +378,12 @@ def test_hopf_cyclic_p_squared():
 
 def test_hopf_lamplighter_socle():
     g = build_lamplighter(2, 2, 1)
-    assert hopf_quotient(g, g.socle_indices(0)) == 1
+    assert hopf_quotient(g, lamplighter_socle(2, 2, 1)) == 1
 
 
 def test_hopf_rejects_non_normal():
     g = build_lamplighter(2, 2, 1)
-    h = g.subgroup_closure(
-        [g.encode(SemidirectElement((TruncSeries(2, [1, 0], 2),), 0))]
-    )
+    h = g.subgroup_closure([1])  # the base element 1
     assert not g.is_normal(h)
     with pytest.raises(UsageError):
         hopf_quotient(g, h)

@@ -22,6 +22,7 @@ from procyclic import (
     elementary_abelian,
     five_term_check,
     homology,
+    lamplighter_socle,
     minres_h2,
     tower_report,
 )
@@ -177,13 +178,13 @@ def five_term_cases():
     g1 = elementary_abelian(2, 2)
     yield g1, g1.subgroup_closure([3])
     lamp = build_lamplighter(2, 2, 1)
-    yield lamp, lamp.socle_indices(0)
+    yield lamp, lamplighter_socle(2, 2, 1)
     z4 = cyclic_group(2, 2)
     yield z4, z4.subgroup_closure([2])
     g3 = elementary_abelian(3, 2)
     yield g3, g3.subgroup_closure([g3.mul(1, 3)])
     dl1 = build_lamplighter(2, 1, 2)
-    yield dl1, dl1.socle_indices(0)
+    yield dl1, lamplighter_socle(2, 1, 2)
     z9 = cyclic_group(3, 2)
     yield z9, z9.subgroup_closure([3])
     d4 = dihedral8()
