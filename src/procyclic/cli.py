@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .census import density_gap, enum_A
-from .cycmod import antipode_iso_check, regular_antipode, regular_module
+from .cycmod import antipode_iso_check, check_module_dim, regular_antipode, regular_module
 from .errors import ResourceLimitError, SearchExhaustedError, UsageError
 from .fpx import TruncSeries, parse_series, render_series, validate_prime
 from .groups import FiniteGroup, build_lamplighter, cyclic_group, elementary_abelian
@@ -32,15 +32,21 @@ from .reporting import (
     json_header,
     run_report,
     section_antipode_bijection,
+    section_antipode_series,
     section_frobenius,
     tower_row,
 )
-from .taumap import min_digit_precision, sigma, tau
+from .taumap import min_digit_precision, tau
 
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 # exit code of each subcommand status: "stopped" means a size budget cut a run short
 STATUS_EXIT = {"pass": 0, "fail": 1, "stopped": EXIT_RESOURCE}
+
+# --prec of tau and verify-frobenius is refused above this before any work:
+# one series holds prec int64 coefficients (512 KiB at the limit), and a
+# product at the limit took 0.2-0.9 s on one core of a 2-CPU machine
+MAX_PREC = 1 << 16
 
 
 def _parse_int(text: str) -> int:
@@ -48,6 +54,11 @@ def _parse_int(text: str) -> int:
         return int(text)
     except ValueError:
         raise UsageError(f"{text!r} is not an integer") from None
+
+
+def _check_prec(prec: int) -> None:
+    if prec > MAX_PREC:
+        raise ResourceLimitError(f"series precision {prec} > {MAX_PREC}")
 
 
 def _parse_exponent(text: str, p: int, min_prec: int) -> PadicInt:
@@ -91,6 +102,7 @@ def _status(ok: bool) -> str:
 def _cmd_verify_frobenius(args):
     if args.imax < 1:
         raise UsageError("imax must be >= 1, or no identity is checked")
+    _check_prec(args.prec)
     section = section_frobenius(primes=(args.p,), i_max=args.imax, prec=args.prec)
     lines = [
         f"frobenius p={args.p} imax={args.imax} prec={args.prec}: {section.status}"
@@ -102,6 +114,7 @@ def _cmd_verify_frobenius(args):
 
 
 def _cmd_tau(args):
+    _check_prec(args.prec)
     needed = min_digit_precision(args.p, args.prec)
     alpha = _parse_exponent(args.alpha, args.p, needed)
     series = tau(alpha, args.prec)
@@ -119,47 +132,24 @@ def _cmd_tau(args):
 
 
 def _cmd_antipode_check(args):
-    import random
-
-    if args.trials < 1:
-        raise UsageError("trials must be >= 1, or no series identity is checked")
+    p = validate_prime(args.p)
     if args.imax < 1:
         raise UsageError("imax must be >= 1, or no module bijection is checked")
-    rng = random.Random(args.seed)
-    p, prec = validate_prime(args.p), args.prec
-    ok = True
-    rows = []
-    inv_ok = hom_ok = 0
-    for _ in range(args.trials):
-        f = TruncSeries(p, [rng.randrange(p) for _ in range(prec)], prec)
-        g = TruncSeries(p, [rng.randrange(p) for _ in range(prec)], prec)
-        if sigma(sigma(f)) == f:
-            inv_ok += 1
-        if sigma(f * g) == sigma(f) * sigma(g) and sigma(f + g) == sigma(f) + sigma(g):
-            hom_ok += 1
-    unit = sigma(TruncSeries.one_minus_x(p, prec)) * TruncSeries.one_minus_x(p, prec)
-    unit_ok = unit == TruncSeries.one(p, prec)
-    ok &= inv_ok == args.trials and hom_ok == args.trials and unit_ok
-    rows.append(
-        {
-            "involution": f"{inv_ok}/{args.trials}",
-            "ring_hom": f"{hom_ok}/{args.trials}",
-            "sigma(1-x)*(1-x)=1": unit_ok,
-        }
-    )
+    check_module_dim(args.imax)  # before the series checks run
+    series_section = section_antipode_series(p, args.prec, args.trials, args.seed)
     module_section = section_antipode_bijection(primes=(p,), i_max=args.imax)
-    ok &= module_section.status == "pass"
+    ok = series_section.status == module_section.status == "pass"
     doc = _wrap(
         "antipode-check",
         {
             "p": p,
-            "prec": prec,
-            "series_checks": rows,
+            "prec": args.prec,
+            "series_checks": series_section.rows,
             "module_checks": module_section.to_json_dict(),
         },
     )
-    lines = [f"antipode checks p={p} prec={prec}: {_status(ok)}"]
-    lines += ["  " + format_row(row) for row in rows + module_section.rows]
+    lines = [f"antipode checks p={p} prec={args.prec}: {_status(ok)}"]
+    lines += ["  " + format_row(row) for row in series_section.rows + module_section.rows]
     return doc, "\n".join(lines) + "\n", _status(ok)
 
 

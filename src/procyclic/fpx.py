@@ -97,6 +97,21 @@ class TruncSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
+    @classmethod
+    def _reduced(cls, p: int, coeffs: np.ndarray) -> "TruncSeries":
+        """Wrap coeffs without validating or copying them.
+
+        coeffs must be a one-dimensional int64 array already reduced into
+        [0, p) that no caller writes to again, and p a validated prime; the
+        precision is its length.  The array is marked read-only.
+        """
+        coeffs.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "prec", coeffs.size)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -146,7 +161,7 @@ class TruncSeries:
         """Reduce to a smaller precision (a ring homomorphism)."""
         if prec < 1 or prec > self.prec:
             raise UsageError(f"cannot truncate precision {self.prec} to {prec}")
-        return TruncSeries(self.p, self.coeffs[:prec], prec)
+        return TruncSeries._reduced(self.p, self.coeffs[:prec].copy())
 
     def extend(self, prec: int) -> "TruncSeries":
         """Pad with zero coefficients up to a larger precision.
@@ -156,7 +171,9 @@ class TruncSeries:
         """
         if prec < self.prec:
             raise UsageError("extend target below current precision")
-        return TruncSeries(self.p, self.coeffs, prec)
+        coeffs = np.zeros(prec, dtype=np.int64)
+        coeffs[: self.prec] = self.coeffs
+        return TruncSeries._reduced(self.p, coeffs)
 
     def valuation(self) -> int | None:
         """Index of the lowest nonzero coefficient, or None for zero."""
@@ -195,28 +212,28 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compatible(other)
-        return TruncSeries(self.p, (self.coeffs + other.coeffs) % self.p, self.prec)
+        return TruncSeries._reduced(self.p, (self.coeffs + other.coeffs) % self.p)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compatible(other)
-        return TruncSeries(self.p, (self.coeffs - other.coeffs) % self.p, self.prec)
+        return TruncSeries._reduced(self.p, (self.coeffs - other.coeffs) % self.p)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.p, (-self.coeffs) % self.p, self.prec)
+        return TruncSeries._reduced(self.p, (-self.coeffs) % self.p)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compatible(other)
         na = int(np.count_nonzero(self.coeffs))
         nb = int(np.count_nonzero(other.coeffs))
         if na == 0 or nb == 0:
-            return TruncSeries.zero(self.p, self.prec)
+            return TruncSeries._reduced(self.p, np.zeros(self.prec, dtype=np.int64))
         if min(na, nb) <= _SMALL_SUPPORT:
             prod = _mul_small_support(self, other)
         elif self.prec <= SCHOOLBOOK_CUTOFF:
             prod = _convolve_mod(self.coeffs, other.coeffs, self.p, self.prec)
         else:
             prod = _kronecker_mod(self.coeffs, other.coeffs, self.p, self.prec)
-        return TruncSeries(self.p, prod, self.prec)
+        return TruncSeries._reduced(self.p, prod)
 
     def __pow__(self, n: int) -> "TruncSeries":
         if not isinstance(n, (int, np.integer)):
@@ -246,14 +263,14 @@ class TruncSeries:
             raise NotAUnitError("constant term is zero; series is not a unit")
         p, n = self.p, self.prec
         inv0 = pow(int(self.coeffs[0]), -1, p)
-        b = TruncSeries(p, (inv0,), 1)
+        b = TruncSeries._reduced(p, np.array([inv0], dtype=np.int64))
         m = 1
         while m < n:
             m = min(2 * m, n)
-            a_m = self.truncate(m)
+            two = np.zeros(m, dtype=np.int64)
+            two[0] = 2 % p
             b = b.extend(m)
-            two = TruncSeries(p, (2 % p,), m)
-            b = b * (two - a_m * b)
+            b = b * (TruncSeries._reduced(p, two) - self.truncate(m) * b)
         return b
 
     def substitute(self, g: "TruncSeries") -> "TruncSeries":

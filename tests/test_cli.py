@@ -1,5 +1,6 @@
 """Command-line surface: outputs, JSON schema, exit codes, determinism."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -227,6 +228,58 @@ def test_bad_input_is_usage_error(case, capsys, monkeypatch, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# (argv, budget constant lowered for the test, largest accepted value of the
+# budgeted argument): one past that value must exit 3 before the stubbed work
+BUDGETS = {
+    "coinv-i": (["coinv", "--p", "3", "--i", "{n}"], ("cycmod", "MAX_MODULE_DIM", 3), 3),
+    "antipode-imax": (
+        ["antipode-check", "--p", "2", "--prec", "4", "--trials", "1", "--imax", "{n}"],
+        ("cycmod", "MAX_MODULE_DIM", 3),
+        3,
+    ),
+    "antipode-prec": (
+        ["antipode-check", "--p", "3", "--imax", "1", "--trials", "2", "--prec", "{n}"],
+        ("reporting", "MAX_SIGMA_WORK", 2 * 8 * 8),
+        8,
+    ),
+    "antipode-trials": (
+        ["antipode-check", "--p", "3", "--imax", "1", "--prec", "4", "--trials", "{n}"],
+        ("reporting", "MAX_SIGMA_WORK", 2 * 8 * 8),
+        8,
+    ),
+    "tau-prec": (["tau", "--p", "2", "--alpha", "-1", "--prec", "{n}"], ("cli", "MAX_PREC", 16), 16),
+    "frobenius-prec": (
+        ["verify-frobenius", "--p", "3", "--imax", "2", "--prec", "{n}"],
+        ("cli", "MAX_PREC", 16),
+        16,
+    ),
+}
+# the work each budget guards; a refusal must come before any of it
+GUARDED = [
+    ("cycmod", "FpCModule"),
+    ("reporting", "sigma"),
+    ("cli", "tau"),
+    ("cli", "section_frobenius"),
+]
+
+
+@pytest.mark.parametrize("case", sorted(BUDGETS))
+def test_budget_refuses_before_any_work(case, capsys, monkeypatch):
+    argv, (module, name, value), largest = BUDGETS[case]
+    monkeypatch.setattr(importlib.import_module(f"procyclic.{module}"), name, value)
+    code, _, err = run_cli(capsys, *[a.format(n=largest) for a in argv])
+    assert (code, err) == (0, "")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the budget check")
+
+    for guarded_module, guarded in GUARDED:
+        monkeypatch.setattr(importlib.import_module(f"procyclic.{guarded_module}"), guarded, no_work)
+    code, out, err = run_cli(capsys, *[a.format(n=largest + 1) for a in argv])
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: ")
 
 
 def test_unknown_flag_exits_2(capsys):

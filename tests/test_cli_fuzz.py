@@ -1,8 +1,10 @@
 """Fuzzed argv: every run ends in a documented exit code, never a traceback.
 
-All inputs come from small bounded ranges (primes and non-primes up to 5,
+Inputs come from small bounded ranges (primes and non-primes up to 5,
 levels up to 3, precision up to 40), so each run is cheap and the budgets
-are the only thing that can stop one.
+are the only thing that can stop one.  Module dimensions, precisions and
+trial counts are also drawn far above their budgets, which must refuse
+them with exit 3 before any work.
 """
 
 import contextlib
@@ -12,12 +14,20 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procyclic.cli import main
+from procyclic.cli import MAX_PREC, main
+from procyclic.cycmod import MAX_MODULE_DIM
+from procyclic.reporting import MAX_SIGMA_WORK
+
+
+def _small_or_above(low, high, limit):
+    return st.one_of(st.integers(low, high), st.integers(limit + 1, 1 << 40)).map(str)
+
 
 P = st.integers(-1, 5).map(str)
 LEVEL = st.integers(-1, 3).map(str)
-PREC = st.integers(-1, 40).map(str)
-TRIALS = st.integers(-1, 3).map(str)
+DIM = _small_or_above(-1, 3, MAX_MODULE_DIM)
+PREC = _small_or_above(-1, 40, MAX_PREC)
+TRIALS = _small_or_above(-1, 3, MAX_SIGMA_WORK)
 MALFORMED = st.sampled_from(
     ["", ",", "1,", ",1", "1,,2", "x", "1,x", "1.5", "-", "1e3", "[1,", "[1, 2]",
      "[1, x]", "{}", "1 + x", "x^2 + 1", "0,1,2,3", "-1", "2,-1", "5,5,5,5"]
@@ -49,9 +59,9 @@ COMMANDS = st.one_of(
     st.tuples(st.just(["tau"]), _flags(p=P, alpha=st.one_of(COEFFS, LEVEL), prec=PREC)),
     st.tuples(
         st.just(["antipode-check"]),
-        _flags(p=P, prec=PREC, imax=LEVEL, trials=TRIALS, seed=LEVEL),
+        _flags(p=P, prec=PREC, imax=DIM, trials=TRIALS, seed=LEVEL),
     ),
-    st.tuples(st.just(["coinv"]), _flags(p=P, i=LEVEL)),
+    st.tuples(st.just(["coinv"]), _flags(p=P, i=DIM)),
     st.tuples(
         st.just(["census"]),
         _flags(p=P, n=LEVEL, k=LEVEL, imax=LEVEL),
@@ -82,6 +92,8 @@ def test_fuzzed_argv_exits_cleanly(argv, as_json):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
+    if code == 3 and argv[0] != "tower":  # a stopped tower reports on stdout
+        assert err.getvalue().startswith("resource limit: "), argv
     if code == 1:
         # the only check these inputs can fail is a density-gap search that finds nothing
         assert argv[0] == "density-gap", argv

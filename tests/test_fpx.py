@@ -79,6 +79,23 @@ def test_fast_mul_matches_schoolbook_large():
         assert a * b == mul_schoolbook(a, b)
 
 
+@pytest.mark.parametrize("p", [2, 3, 65521])
+@pytest.mark.parametrize("prec", [1, 5, 300])  # 300 takes the Kronecker path
+def test_results_are_reduced_read_only_and_own_their_coefficients(p, prec):
+    rng = random.Random(prec)
+    a, b, u = random_series(rng, p, prec), random_series(rng, p, prec), random_unit(rng, p, prec)
+    sparse = TruncSeries.monomial(p, prec, prec // 2, p - 1)
+    results = [a + b, a - b, -a, a * b, a * sparse, a * TruncSeries.zero(p, prec)]
+    results += [u.invert(), a.truncate(max(1, prec // 2)), a.extend(prec + 3)]
+    for r in results:
+        assert r.coeffs.dtype == np.int64 and r.coeffs.ndim == 1
+        assert r.coeffs.size == r.prec and isinstance(r.prec, int)
+        assert r.coeffs.min() >= 0 and r.coeffs.max() < p
+        assert not r.coeffs.flags.writeable
+        assert not np.shares_memory(r.coeffs, a.coeffs)
+        assert r == TruncSeries(p, r.coeffs.tolist(), r.prec)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),

@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from procyclic import PadicInt, TruncSeries, UsageError, act, min_digit_precision, sigma, tau
+from procyclic import taumap
 
 PRIMES = (2, 3, 5)
 
@@ -90,6 +92,61 @@ def test_tau_continuity():
             b = PadicInt(p, b_digits)
             cut = min(p**depth, prec)
             assert tau(a, prec).truncate(cut) == tau(b, prec).truncate(cut)
+
+
+def tau_product_form(alpha, prec):
+    """prod_j (1 - x^(p^j))^(d_j) by series products: the oracle for tau."""
+    p = alpha.p
+    result = TruncSeries.one(p, prec)
+    q = 1
+    for d in alpha.digits:
+        if q >= prec:
+            break
+        if d:
+            factor = TruncSeries.one(p, prec) - TruncSeries.monomial(p, prec, q)
+            result = result * factor ** int(d)
+        q *= p
+    return result
+
+
+def differential_precisions(p):
+    """1, 2, 256, 4096 and p^j - 1, p^j, p^j + 1 for every p^j <= 4096."""
+    precs = {1, 2, 256, 4096}
+    q = p
+    while q <= 4096:
+        precs |= {q - 1, q, q + 1}
+        q *= p
+    return sorted(precs)
+
+
+# at p = 65521 and prec 4096, in-place shifted subtraction (1 - x^q)^d with
+# one reduction per digit overflows int64; the closed form must not
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 65521])
+def test_tau_matches_product_form(p):
+    rng = random.Random(p)
+    for prec in differential_precisions(p):
+        k = min_digit_precision(p, prec)
+        # two digits more than needed; the extra ones must not matter
+        exponents = [[0] * (k + 2), [p - 1] * (k + 2)]
+        exponents += [[rng.randrange(p) for _ in range(k + 2)] for _ in range(2)]
+        for digits in exponents:
+            alpha = PadicInt(p, digits)
+            got = tau(alpha, prec)
+            assert got == tau_product_form(alpha, prec), (p, prec, digits)
+            assert got.coeffs.dtype == np.int64 and not got.coeffs.flags.writeable
+            assert got.coeffs.min() >= 0 and got.coeffs.max() < p
+
+
+def test_tau_cache_does_not_grow_with_precision():
+    caches = [f for f in vars(taumap).values() if hasattr(f, "cache_info")]
+    alpha = PadicInt.from_int(-1, 3, min_digit_precision(3, 1 << 16))
+    tau(alpha.truncate(2), 8)
+    before = [f.cache_info().currsize for f in caches]
+    for _ in range(2):
+        assert tau(alpha, 1 << 16) == TruncSeries.geometric(3, 1 << 16)
+    assert [f.cache_info().currsize for f in caches] == before
+    # what is cached for a prime is O(p): its factorial tables
+    assert sum(table.nbytes for table in taumap._factorials(3)) == 2 * 3 * 8
 
 
 def test_tau_requires_enough_digits():
