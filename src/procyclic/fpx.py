@@ -5,13 +5,26 @@ An element of F_p[x]/(x^N) is a dense little-endian coefficient vector
 after construction and all operations are pure, so they are safe to share
 across threads.
 
-Multiplication uses plain convolution below a cutoff and Kronecker
-substitution above it: coefficients are packed into fixed-width limbs of
-one big integer and multiplied with CPython's integer product (schoolbook
-below its internal threshold, Karatsuba above), then unpacked and reduced
-mod p.  The limb width is chosen from p and N so neighbouring limbs can
-never carry into each other.  Both paths produce identical results; the
-schoolbook path doubles as the test oracle.
+A product takes one of four exact kernels, chosen by the operands:
+
+* an operand with at most four nonzero terms: shifted accumulation of the
+  other operand in int64;
+* N <= 64: ``np.convolve`` in int64, where every partial sum is below
+  64 * (p-1)^2 < 2^38;
+* 64 < N <= 4096: ``np.convolve`` on float64 copies of the operands, each
+  cut at its last nonzero coefficient.  Every term and every partial sum
+  is an integer below 4096 * (2^16)^2 = 2^44 < 2^53, so each float64
+  operation is exact and the result does not depend on summation order;
+* N > 4096: Kronecker substitution in base 10^w, where w is the number of
+  decimal digits of N * (p-1)^2.  Each coefficient of the product is at
+  most that bound, so the fields of width w never carry into each other.
+  The packed integers are multiplied by libmpdec (CPython's ``decimal``,
+  whose large products use a number-theoretic transform) in a context with
+  unbounded precision that traps ``Inexact`` and ``Rounded``: a rounded
+  product raises instead of returning a wrong series.
+
+``mul_schoolbook`` (int64 convolution at any N) is the oracle for all of
+them.
 
 Binary operations require equal primes and equal precisions; use
 ``truncate()`` to bring an operand down to a common precision when mixing
@@ -39,9 +52,15 @@ __all__ = [
 
 MAX_PRIME = 1 << 16
 
-# Below this precision plain convolution beats the pack/unpack overhead of
-# Kronecker substitution (measured crossover is near 256).
-SCHOOLBOOK_CUTOFF = 256
+# At or below this precision products are int64 convolutions; above it the
+# float64 copies cost less than the int64 convolution loop.
+INT64_CUTOFF = 64
+
+# At or below this precision products are float64 convolutions, exact while
+# SCHOOLBOOK_CUTOFF * (MAX_PRIME - 1)^2 < 2^53; above it libmpdec's
+# transform product is faster at every p.  At 4096 itself the convolution of
+# trimmed operands wins on the mostly-zero powers of section_frobenius.
+SCHOOLBOOK_CUTOFF = 4096
 
 # Operands with at most this many nonzero terms are multiplied by shifted
 # accumulation instead of either dense path.
@@ -67,7 +86,11 @@ def validate_prime(p: int) -> int:
 
 
 def _as_coeff_array(coeffs, p: int, prec: int) -> np.ndarray:
-    arr = np.asarray(coeffs, dtype=np.int64)
+    try:
+        arr = np.asarray(coeffs, dtype=np.int64)
+    except OverflowError:
+        # a Python int outside int64; coefficients live in F_p, so reduce first
+        arr = np.asarray([int(c) % p for c in coeffs], dtype=np.int64)
     if arr.ndim != 1:
         raise UsageError("coefficients must be one-dimensional")
     if arr.size > prec:
@@ -229,10 +252,12 @@ class TruncSeries:
             return TruncSeries._reduced(self.p, np.zeros(self.prec, dtype=np.int64))
         if min(na, nb) <= _SMALL_SUPPORT:
             prod = _mul_small_support(self, other)
-        elif self.prec <= SCHOOLBOOK_CUTOFF:
+        elif self.prec <= INT64_CUTOFF:
             prod = _convolve_mod(self.coeffs, other.coeffs, self.p, self.prec)
+        elif self.prec <= SCHOOLBOOK_CUTOFF:
+            prod = _convolve_float(self.coeffs, other.coeffs, self.p, self.prec)
         else:
-            prod = _kronecker_mod(self.coeffs, other.coeffs, self.p, self.prec)
+            prod = _kronecker_decimal(self.coeffs, other.coeffs, self.p, self.prec)
         return TruncSeries._reduced(self.p, prod)
 
     def __pow__(self, n: int) -> "TruncSeries":
@@ -284,7 +309,9 @@ class TruncSeries:
         for c in self.coeffs[::-1]:
             result = result * g
             if c:
-                result = result + TruncSeries(self.p, (int(c),), self.prec)
+                coeffs = result.coeffs.copy()
+                coeffs[0] += c  # below p: (result * g)(0) = 0
+                result = TruncSeries._reduced(self.p, coeffs)
         return result
 
     # -- comparison / hashing / display ----------------------------------
@@ -330,27 +357,66 @@ def _mul_small_support(a: TruncSeries, b: TruncSeries) -> np.ndarray:
     return out % p
 
 
-def _limb_bytes(p: int, prec: int) -> int:
-    # Max convolution coefficient is prec * (p-1)^2; one spare bit on top.
-    bound = prec * (p - 1) * (p - 1)
-    bits = max(1, bound.bit_length()) + 1
-    return (bits + 7) // 8
+def _support_end(a: np.ndarray) -> int:
+    """One past the index of the last nonzero entry of a nonzero array."""
+    return a.size - int(np.argmax(a[::-1] != 0))
 
 
-def _pack(coeffs: np.ndarray, limb: int) -> int:
-    shifts = 8 * np.arange(limb, dtype=np.int64)
-    buf = ((coeffs[:, None] >> shifts) & 0xFF).astype(np.uint8)
-    return int.from_bytes(buf.tobytes(), "little")
+def _convolve_float(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarray:
+    # exact for prec <= SCHOOLBOOK_CUTOFF: see the module docstring
+    fa = a[: _support_end(a)].astype(np.float64)
+    fb = b[: _support_end(b)].astype(np.float64)
+    prod = np.convolve(fa, fb)[:prec]
+    out = np.zeros(prec, dtype=np.int64)
+    out[: prod.size] = prod.astype(np.int64) % p
+    return out
 
 
-def _kronecker_mod(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarray:
-    limb = _limb_bytes(p, prec)
-    prod = _pack(a, limb) * _pack(b, limb)
-    nlimbs = len(a) + len(b) - 1
-    raw = prod.to_bytes(nlimbs * limb + 8, "little")[: nlimbs * limb]
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(nlimbs, limb).astype(np.int64)
-    vals = arr @ (np.int64(256) ** np.arange(limb, dtype=np.int64))
-    return vals[:prec] % p
+@lru_cache(maxsize=None)
+def _decimal_context():
+    """A libmpdec context in which integer products are exact or raise.
+
+    Imported on first use: only products above SCHOOLBOOK_CUTOFF need it.
+    """
+    import decimal
+
+    return decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded],
+    )
+
+
+def _to_decimal(c: np.ndarray, w: int, digits: int, ctx):
+    """The integer sum of c[i] * 10^(w*i), for 0 <= c[i] < 10^digits <= 10^w."""
+    text = np.full((c.size, w), ord("0"), dtype=np.uint8)
+    rest = c[::-1]
+    for col in range(w - 1, w - 1 - digits, -1):
+        rest, d = np.divmod(rest, 10)
+        text[:, col] += d.astype(np.uint8)
+    return ctx.create_decimal(text.tobytes().decode("ascii"))
+
+
+def _kronecker_decimal(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarray:
+    a, b = a[: _support_end(a)], b[: _support_end(b)]
+    # a product coefficient is at most prec * (p-1)^2 < 10^w, so the fields
+    # do not carry, and (for prec < 2^31) the Horner sums below fit int64
+    w = len(str(prec * (p - 1) ** 2))
+    digits = len(str(p - 1))
+    ctx = _decimal_context()
+    prod = ctx.multiply(_to_decimal(a, w, digits, ctx), _to_decimal(b, w, digits, ctx))
+    # the low m fields are the last m*w decimal digits, high field first
+    m = min(prec, a.size + b.size - 1)
+    text = str(prod)[-m * w :].rjust(m * w, "0").encode("ascii")
+    fields = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(m, w)
+    vals = np.zeros(m, dtype=np.int64)
+    for col in range(w):
+        vals *= 10
+        vals += fields[:, col]
+    out = np.zeros(prec, dtype=np.int64)
+    out[:m] = vals[::-1] % p
+    return out
 
 
 def mul_schoolbook(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -490,5 +556,5 @@ def parse_series(text: str, p: int, prec: int) -> TruncSeries:
         else:
             degree = 1
         if degree < prec:
-            coeffs[degree] += coeff
+            coeffs[degree] = (int(coeffs[degree]) + coeff) % p
     return TruncSeries(p, coeffs, prec)

@@ -49,8 +49,9 @@ DEFAULT_SEED = 20240801
 
 # section_antipode_series refuses trials * prec^2 above this.  Each trial
 # runs sigma, a prec-step Horner loop of products, six times: one trial at
-# prec 1024 took 2.2 s at p = 3 and 10.7 s at p = 65521, 16 trials at
-# prec 256 took 3.1 s at p = 65521 (one core of a 2-CPU machine).
+# prec 1024 took 2.0 s at p = 3 and 1.9 s at p = 65521, 16 trials at
+# prec 256 took 1.6 s at p = 65521 (best of two, one core of a shared
+# 2-CPU x86-64 machine).
 MAX_SIGMA_WORK = 1 << 20
 
 SECTION_ORDER = (

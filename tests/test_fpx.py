@@ -1,6 +1,8 @@
 """Series arithmetic: oracle comparisons, ring axioms, and edge cases."""
 
+import decimal
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from procyclic import (
     render_series,
     validate_prime,
 )
+from procyclic import fpx
 
 PRIMES = (2, 3, 5, 7)
 
@@ -79,8 +82,71 @@ def test_fast_mul_matches_schoolbook_large():
         assert a * b == mul_schoolbook(a, b)
 
 
+def kernel_operands(rng, p, prec):
+    """Operand pairs for the dense kernels: dense, long zero tails, unequal support."""
+    dense = [random_series(rng, p, prec) for _ in range(2)]
+    top = TruncSeries(p, np.full(prec, p - 1), prec)  # every partial sum at its bound
+    head = TruncSeries(p, [rng.randrange(1, p) for _ in range(7)], prec)
+    third = random_series(rng, p, max(1, prec // 3)).extend(prec)
+    tail = np.zeros(prec, dtype=np.int64)
+    tail[prec - 9 :] = [rng.randrange(1, p) for _ in range(9)]
+    pairs = [
+        tuple(dense),
+        (top, top),
+        (head, third),  # zero tails, as the powers in section_frobenius have
+        (dense[0], TruncSeries(p, tail, prec)),
+    ]
+    # either side of the sparse path's support bound
+    for terms in (fpx._SMALL_SUPPORT, fpx._SMALL_SUPPORT + 1):
+        sparse = np.zeros(prec, dtype=np.int64)
+        sparse[rng.sample(range(prec), min(terms, prec))] = p - 1
+        pairs.append((TruncSeries(p, sparse, prec), dense[1]))
+    return pairs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+@pytest.mark.parametrize(
+    "prec",
+    [
+        fpx.INT64_CUTOFF,
+        fpx.INT64_CUTOFF + 1,
+        fpx.SCHOOLBOOK_CUTOFF,
+        fpx.SCHOOLBOOK_CUTOFF + 1,
+    ],
+)
+def test_dense_kernels_match_schoolbook_at_every_cutoff(p, prec):
+    rng = random.Random(prec * p)
+    for a, b in kernel_operands(rng, p, prec):
+        assert a * b == mul_schoolbook(a, b)
+        assert b * a == mul_schoolbook(a, b)
+
+
+def test_float_convolution_is_exact_up_to_the_cutoff():
+    # every partial sum of the float64 path is an integer below this bound
+    assert fpx.SCHOOLBOOK_CUTOFF * (fpx.MAX_PRIME - 1) ** 2 < 2**53
+    assert fpx.INT64_CUTOFF < fpx.SCHOOLBOOK_CUTOFF
+
+
+def test_decimal_product_raises_instead_of_rounding(monkeypatch):
+    p, prec = 3, fpx.SCHOOLBOOK_CUTOFF + 1
+    rng = random.Random(5)
+    a, b = random_series(rng, p, prec), random_series(rng, p, prec)
+    short = decimal.Context(prec=50, traps=[decimal.Inexact, decimal.Rounded])
+    monkeypatch.setattr(fpx, "_decimal_context", lambda: short)
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        a * b
+
+
+def test_decimal_is_the_c_accelerator():
+    # the pure-Python _pydecimal would make products above the cutoff crawl
+    import _decimal
+
+    assert isinstance(fpx._decimal_context(), _decimal.Context)
+    assert sys.modules["decimal"].Context is _decimal.Context
+
+
 @pytest.mark.parametrize("p", [2, 3, 65521])
-@pytest.mark.parametrize("prec", [1, 5, 300])  # 300 takes the Kronecker path
+@pytest.mark.parametrize("prec", [1, 5, 300, 4097])  # 300 float, 4097 decimal
 def test_results_are_reduced_read_only_and_own_their_coefficients(p, prec):
     rng = random.Random(prec)
     a, b, u = random_series(rng, p, prec), random_series(rng, p, prec), random_unit(rng, p, prec)
@@ -190,6 +256,25 @@ def test_substitute_expansion_mod3():
     assert f.substitute(g) == TruncSeries(3, [1, -1, -1, -1, -1], 5)
 
 
+def horner_substitute(f, g):
+    """Composition f(g) by Horner with validated constant series; the oracle."""
+    result = TruncSeries.zero(f.p, f.prec)
+    for c in f.coeffs[::-1]:
+        result = result * g + TruncSeries(f.p, (int(c),), f.prec)
+    return result
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_substitute_matches_horner_oracle(p):
+    rng = random.Random(p)
+    for prec in (1, 2, 40, 100):
+        f = random_series(rng, p, prec)
+        g = TruncSeries(p, [0] + [rng.randrange(p) for _ in range(prec - 1)], prec)
+        got = f.substitute(g)
+        assert got == horner_substitute(f, g)
+        assert not got.coeffs.flags.writeable
+
+
 def test_substitute_requires_zero_constant_term():
     f = TruncSeries.one(2, 4)
     with pytest.raises(UsageError):
@@ -272,6 +357,15 @@ def test_parse_text_and_json_roundtrip():
 def test_parse_accepts_signs_and_spaces():
     f = parse_series("1 - x + 2*x^3", 5, 5)
     assert f == TruncSeries(5, [1, 4, 0, 2, 0], 5)
+
+
+def test_coefficients_outside_int64_are_reduced_mod_p():
+    big = 10**23
+    assert TruncSeries(3, [2**70, 1]) == TruncSeries(3, [2**70 % 3, 1])
+    assert TruncSeries(5, [-(2**80), big], 4) == TruncSeries(5, [-(2**80) % 5, big % 5], 4)
+    assert parse_series(f"[{big}, 1]", 2, 2) == TruncSeries(2, [0, 1], 2)
+    assert parse_series(f"{big}*x + 1", 2, 2) == TruncSeries(2, [1, 0], 2)
+    assert parse_series(f"1 - {big}*x^2", 7, 3) == TruncSeries(7, [1, 0, -big % 7], 3)
 
 
 def test_parse_rejects_garbage():
