@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .fpx import TruncSeries, validate_prime
+from .fpx import validate_prime
 from .linfp import FpMatrix, kernel_basis, rank
-from .taumap import min_digit_precision
+from .taumap import min_digit_precision, times_sigma_x
 
 __all__ = [
     "FpCModule",
@@ -156,17 +156,15 @@ def trivial_module(p: int, dim: int) -> FpCModule:
 def regular_antipode(p: int, i: int) -> ModuleAntipode:
     """The ring antipode of F_p[x]/(x^i) as a module antipode.
 
-    Column j is sigma(x^j) = (1 - (1-x)^(-1))^j in the monomial basis.
+    Column j is sigma(x^j) = sigma(x)^j in the monomial basis.
     """
     mod = regular_module(p, i)
-    one = TruncSeries.one(p, i)
-    s_x = one - TruncSeries.one_minus_x(p, i).invert()
-    cols = []
-    power = one
-    for _ in range(i):
-        cols.append(power.coeffs)
-        power = power * s_x
-    return ModuleAntipode(mod, FpMatrix(p, np.array(cols).T))
+    cols = np.zeros((i, i), dtype=np.int64)
+    cols[0, 0] = 1
+    for j in range(1, i):
+        cols[j, 1:] = cols[j - 1, :-1]
+        times_sigma_x(cols[j, 1:], p)
+    return ModuleAntipode(mod, FpMatrix(p, cols.T))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ across threads.
 
 A product takes one of four exact kernels, chosen by the operands:
 
-* an operand with at most four nonzero terms: shifted accumulation of the
-  other operand in int64;
 * N <= 64: ``np.convolve`` in int64, where every partial sum is below
-  64 * (p-1)^2 < 2^38;
+  64 * (p-1)^2 < 2^38.  This is the only branch at small N, where a
+  product costs a few microseconds, nearly all of it call overhead;
+* N > 64 and an operand with at most four nonzero terms: shifted
+  accumulation of the other operand in int64;
 * 64 < N <= 4096: ``np.convolve`` on float64 copies of the operands, each
   cut at its last nonzero coefficient.  Every term and every partial sum
   is an integer below 4096 * (2^16)^2 = 2^44 < 2^53, so each float64
@@ -25,6 +26,11 @@ A product takes one of four exact kernels, chosen by the operands:
 
 ``mul_schoolbook`` (int64 convolution at any N) is the oracle for all of
 them.
+
+``invert`` is Newton iteration on the precision h of b = a^(-1): with
+m = min(2h, N), a * b = 1 + x^h * e mod x^m, and b - x^h * (b * e) is the
+inverse mod x^m.  Only the low m - h coefficients of b * e are kept, so
+that product is taken at size m - h, about half the size of the first.
 
 Binary operations require equal primes and equal precisions; use
 ``truncate()`` to bring an operand down to a common precision when mixing
@@ -62,8 +68,8 @@ INT64_CUTOFF = 64
 # trimmed operands wins on the mostly-zero powers of section_frobenius.
 SCHOOLBOOK_CUTOFF = 4096
 
-# Operands with at most this many nonzero terms are multiplied by shifted
-# accumulation instead of either dense path.
+# Above INT64_CUTOFF, operands with at most this many nonzero terms are
+# multiplied by shifted accumulation instead of either dense path.
 _SMALL_SUPPORT = 4
 
 
@@ -246,19 +252,22 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compatible(other)
+        p, n = self.p, self.prec
+        if n <= INT64_CUTOFF:
+            return TruncSeries._reduced(p, _convolve_mod(self.coeffs, other.coeffs, p, n))
         na = int(np.count_nonzero(self.coeffs))
         nb = int(np.count_nonzero(other.coeffs))
         if na == 0 or nb == 0:
-            return TruncSeries._reduced(self.p, np.zeros(self.prec, dtype=np.int64))
-        if min(na, nb) <= _SMALL_SUPPORT:
-            prod = _mul_small_support(self, other)
-        elif self.prec <= INT64_CUTOFF:
-            prod = _convolve_mod(self.coeffs, other.coeffs, self.p, self.prec)
-        elif self.prec <= SCHOOLBOOK_CUTOFF:
-            prod = _convolve_float(self.coeffs, other.coeffs, self.p, self.prec)
+            prod = np.zeros(n, dtype=np.int64)
+        elif nb <= _SMALL_SUPPORT:
+            prod = _mul_small_support(self.coeffs, other.coeffs, p)
+        elif na <= _SMALL_SUPPORT:
+            prod = _mul_small_support(other.coeffs, self.coeffs, p)
+        elif n <= SCHOOLBOOK_CUTOFF:
+            prod = _convolve_float(self.coeffs, other.coeffs, p, n)
         else:
-            prod = _kronecker_decimal(self.coeffs, other.coeffs, self.p, self.prec)
-        return TruncSeries._reduced(self.p, prod)
+            prod = _kronecker_decimal(self.coeffs, other.coeffs, p, n)
+        return TruncSeries._reduced(p, prod)
 
     def __pow__(self, n: int) -> "TruncSeries":
         if not isinstance(n, (int, np.integer)):
@@ -281,22 +290,22 @@ class TruncSeries:
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse; requires a nonzero constant term.
 
-        Newton iteration b <- b(2 - ab), doubling the valid precision each
-        round, so the cost is a constant number of full-size products.
+        Newton iteration as in the module docstring: each round doubles
+        the precision with one product at size m and one at size m - h.
         """
         if self.coeffs[0] == 0:
             raise NotAUnitError("constant term is zero; series is not a unit")
         p, n = self.p, self.prec
-        inv0 = pow(int(self.coeffs[0]), -1, p)
-        b = TruncSeries._reduced(p, np.array([inv0], dtype=np.int64))
-        m = 1
-        while m < n:
-            m = min(2 * m, n)
-            two = np.zeros(m, dtype=np.int64)
-            two[0] = 2 % p
-            b = b.extend(m)
-            b = b * (TruncSeries._reduced(p, two) - self.truncate(m) * b)
-        return b
+        b = np.array([pow(int(self.coeffs[0]), -1, p)], dtype=np.int64)
+        h = 1
+        while h < n:
+            m = min(2 * h, n)
+            a = self if m == n else self.truncate(m)
+            ab = a * TruncSeries._reduced(p, b).extend(m)
+            e = TruncSeries._reduced(p, ab.coeffs[h:])
+            be = TruncSeries._reduced(p, b[: m - h]) * e
+            b, h = np.concatenate([b, -be.coeffs % p]), m
+        return TruncSeries._reduced(p, b)
 
     def substitute(self, g: "TruncSeries") -> "TruncSeries":
         """Composition self(g(x)); g must have zero constant term."""
@@ -345,15 +354,11 @@ def _convolve_mod(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarray
     return np.convolve(a, b)[:prec] % p
 
 
-def _mul_small_support(a: TruncSeries, b: TruncSeries) -> np.ndarray:
-    dense, sparse = a, b
-    if np.count_nonzero(a.coeffs) < np.count_nonzero(b.coeffs):
-        dense, sparse = b, a
-    prec, p = dense.prec, dense.p
+def _mul_small_support(dense: np.ndarray, sparse: np.ndarray, p: int) -> np.ndarray:
+    prec = dense.size
     out = np.zeros(prec, dtype=np.int64)
-    for k in np.nonzero(sparse.coeffs)[0]:
-        c = int(sparse.coeffs[k])
-        out[k:] += c * dense.coeffs[: prec - k]
+    for k in np.nonzero(sparse)[0]:
+        out[k:] += int(sparse[k]) * dense[: prec - k]
     return out % p
 
 

@@ -28,14 +28,20 @@ class PadicInt:
             prec = len(digits)
         if prec < 1:
             raise UsageError("digit precision must be a positive integer")
-        arr = np.asarray(digits, dtype=np.int64)
+        try:
+            arr = np.asarray(digits, dtype=np.int64)
+        except OverflowError:
+            raise UsageError(f"a digit is not in [0, {p})") from None
         if arr.ndim != 1:
             raise UsageError("digits must be one-dimensional")
-        if arr.size > prec:
-            arr = arr[:prec]
-        elif arr.size < prec:
+        bad = arr[(arr < 0) | (arr >= p)]
+        if bad.size:
+            # reducing a digit mod p on its own would change the value
+            raise UsageError(f"digit {int(bad[0])} is not in [0, {p})")
+        if arr.size < prec:
             arr = np.concatenate([arr, np.zeros(prec - arr.size, dtype=np.int64)])
-        arr = np.mod(arr, p)
+        else:
+            arr = arr[:prec].copy()
         arr.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "prec", int(prec))

@@ -48,10 +48,11 @@ from .taumap import min_digit_precision, sigma, tau
 DEFAULT_SEED = 20240801
 
 # section_antipode_series refuses trials * prec^2 above this.  Each trial
-# runs sigma, a prec-step Horner loop of products, six times: one trial at
-# prec 1024 took 2.0 s at p = 3 and 1.9 s at p = 65521, 16 trials at
-# prec 256 took 1.6 s at p = 65521 (best of two, one core of a shared
-# 2-CPU x86-64 machine).
+# runs sigma eight times, and sigma is a prec-step Horner loop of prefix sums
+# of length up to prec: one trial at prec 1024 took 0.09 s at p = 3 and
+# 0.07 s at p = 65521, 16 trials at prec 256 took 0.18 s at p = 65521 (best
+# of three, one core of a shared 2-CPU x86-64 machine).  The bound could be
+# far higher; it stays where the CLI's golden outputs pin it.
 MAX_SIGMA_WORK = 1 << 20
 
 SECTION_ORDER = (

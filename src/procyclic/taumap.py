@@ -28,7 +28,14 @@ short row per digit, the coefficients of (1 - y)^(d_j), built from
 factorials mod p; the tests keep the product form as the oracle.
 
 sigma is the ring involution induced by t -> t^(-1): it fixes constants
-and sends x to 1 - (1 - x)^(-1), and is computed by a single substitution.
+and sends x to 1 - (1 - x)^(-1) = -x/(1 - x) = -(x + x^2 + ...).  sigma(f)
+is the Horner loop of the substitution f(sigma(x)), but multiplying by
+sigma(x) needs no product: the coefficient of x^(n+1) in sigma(x) * r is
+-(r_0 + ... + r_n), a negated prefix sum.  Each step is exact in int64,
+since every partial sum of coefficients in [0, p) is below N * p < 2^63,
+and is reduced mod p before the next.  The loop costs O(N^2) element
+operations in N vectorised steps; the Horner ``TruncSeries.substitute``
+with sigma(x) built by ``invert`` is the test oracle.
 """
 
 from __future__ import annotations
@@ -104,15 +111,32 @@ def tau(alpha: PadicInt, prec: int) -> TruncSeries:
     return TruncSeries._reduced(p, coeffs)
 
 
-@lru_cache(maxsize=128)
-def _sigma_image_of_x(p: int, prec: int) -> TruncSeries:
-    one = TruncSeries.one(p, prec)
-    return one - TruncSeries.one_minus_x(p, prec).invert()
+def times_sigma_x(r: np.ndarray, p: int) -> None:
+    """Overwrite r with sigma(x) * r shifted down one degree.
+
+    sigma(x) = -(x + x^2 + ...), so the coefficient of x^(n+1) in
+    sigma(x) * r is -(r[0] + ... + r[n]) mod p, a negated prefix sum.  r
+    must be int64 with entries in [0, p); every partial sum is below
+    len(r) * p < 2^63.
+    """
+    np.cumsum(r, out=r)
+    np.negative(r, out=r)
+    np.remainder(r, p, out=r)
 
 
 def sigma(f: TruncSeries) -> TruncSeries:
     """The antipode: ring involution with sigma(1 - x) = (1 - x)^(-1)."""
-    return f.substitute(_sigma_image_of_x(f.p, f.prec))
+    if not isinstance(f, TruncSeries):
+        raise UsageError(f"expected TruncSeries, got {type(f).__name__}")
+    # Horner down from the top nonzero coefficient: r_k = c_k + sigma(x) r_(k+1).
+    # r_k is multiplied by sigma(x)^k, of valuation k, so only its first
+    # prec - k coefficients matter; they live in out[k:], which holds c_k
+    # followed by zeros until the loop reaches it.
+    out = f.coeffs.copy()
+    nz = np.flatnonzero(out)
+    for k in range(int(nz[-1]) - 1 if nz.size else -1, -1, -1):
+        times_sigma_x(out[k + 1 :], f.p)
+    return TruncSeries._reduced(f.p, out)
 
 
 def act(alpha: PadicInt, f: TruncSeries) -> TruncSeries:

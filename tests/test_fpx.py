@@ -82,6 +82,46 @@ def test_fast_mul_matches_schoolbook_large():
         assert a * b == mul_schoolbook(a, b)
 
 
+def few_term_series(rng, p, prec, terms):
+    """A series with min(terms, prec) nonzero coefficients at random places."""
+    coeffs = np.zeros(prec, dtype=np.int64)
+    for k in rng.sample(range(prec), min(terms, prec)):
+        coeffs[k] = rng.randrange(1, p)
+    return TruncSeries(p, coeffs, prec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_int64_products_match_schoolbook_at_every_small_precision(p):
+    # at prec <= INT64_CUTOFF every product is one int64 convolution, also
+    # for the zero and few-term operands that once took a sparse path
+    rng = random.Random(p)
+    for prec in range(1, fpx.INT64_CUTOFF + 2):
+        operands = [TruncSeries.zero(p, prec), random_series(rng, p, prec)]
+        operands += [few_term_series(rng, p, prec, t) for t in (1, 2, 3, 4)]
+        operands.append(TruncSeries(p, np.full(prec, p - 1), prec))
+        for a in operands:
+            for b in operands:
+                got = a * b
+                assert got == mul_schoolbook(a, b), (prec, a, b)
+                assert got.coeffs.dtype == np.int64 and not got.coeffs.flags.writeable
+                assert not np.shares_memory(got.coeffs, a.coeffs)
+
+
+@pytest.mark.parametrize("prec", [3, fpx.INT64_CUTOFF + 1, fpx.SCHOOLBOOK_CUTOFF + 1])
+def test_product_usage_errors_are_pinned(prec):
+    a = TruncSeries.one(3, prec)
+    with pytest.raises(UsageError, match=r"^mixed primes 3 and 5$"):
+        a * TruncSeries.one(5, prec)
+    with pytest.raises(
+        UsageError,
+        match=rf"^mixed precisions {prec} and {prec + 1}; use truncate\(\) to reduce one explicitly$",
+    ):
+        a * TruncSeries.one(3, prec + 1)
+    for other in (2, [1, 0], a.coeffs):
+        with pytest.raises(UsageError, match=r"^expected TruncSeries, got \w+$"):
+            a * other
+
+
 def kernel_operands(rng, p, prec):
     """Operand pairs for the dense kernels: dense, long zero tails, unequal support."""
     dense = [random_series(rng, p, prec) for _ in range(2)]
@@ -219,9 +259,31 @@ def test_invert_examples():
 def test_invert_random_multiply_back():
     rng = random.Random(44)
     for p in PRIMES:
-        for prec in (1, 2, 33, 257):
+        for prec in (1, 2, 3, 33, 63, 64, 65, 257, 4095, 4096, 4097, 32769):
             u = random_unit(rng, p, prec)
             assert u * u.invert() == TruncSeries.one(p, prec)
+
+
+def full_step_newton_inverse(u):
+    """b <- b(2 - ub) with both products at the full new precision: the oracle."""
+    p, prec = u.p, u.prec
+    b = TruncSeries(p, [pow(int(u.coeffs[0]), -1, p)], 1)
+    m = 1
+    while m < prec:
+        m = min(2 * m, prec)
+        b = b.extend(m)
+        b = b * (TruncSeries(p, [2], m) - u.truncate(m) * b)
+    return b
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_invert_matches_full_step_newton(p):
+    rng = random.Random(p + 1)
+    for prec in (1, 2, 3, 5, 63, 64, 65, 129, 300, 4097):
+        units = [random_unit(rng, p, prec), TruncSeries.one_minus_x(p, prec)]
+        units.append(TruncSeries(p, [rng.randrange(1, p)], prec))  # a constant
+        for u in units:
+            assert u.invert() == full_step_newton_inverse(u), (p, prec)
 
 
 def test_invert_nonunit_rejected():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from procyclic import PadicInt, UsageError
@@ -88,3 +89,22 @@ def test_immutability():
     with pytest.raises(AttributeError):
         a.prec = 1
     assert hash(a) == hash(PadicInt.from_int(6, 5, 3))
+
+
+def test_digits_outside_the_base_are_refused():
+    # reducing 5 to 2 digit by digit would silently change the value
+    for digits in ([5, 0], [0, 3], [-1], [10**30]):
+        with pytest.raises(UsageError, match=r"not in \[0, 3\)"):
+            PadicInt(3, digits)
+    assert PadicInt(3, [2, 1]).to_int() == PadicInt.from_int(5, 3, 2).to_int() == 5
+    # the value is fixed before truncation drops the high digits
+    assert PadicInt(3, [2, 1, 2], 2) == PadicInt.from_int(5, 3, 2)
+
+
+def test_digits_do_not_alias_the_caller_array():
+    raw = np.array([1, 2, 0], dtype=np.int64)
+    for prec in (2, 3):
+        a = PadicInt(3, raw, prec)
+        assert not np.shares_memory(a.digits, raw) and not a.digits.flags.writeable
+    raw[0] = 2
+    assert raw.flags.writeable

@@ -197,6 +197,54 @@ def test_sigma_inverts_tau():
             assert sigma(tau(a, prec)) == tau(-a, prec)
 
 
+def sigma_by_substitution(f):
+    """f(1 - (1 - x)^(-1)) by the Horner substitute: the oracle for sigma."""
+    p, prec = f.p, f.prec
+    g = TruncSeries.one(p, prec) - TruncSeries.one_minus_x(p, prec).invert()
+    return f.substitute(g)
+
+
+def sigma_precisions(p):
+    """1, 2, 3, 64, 65, 512, 1024 and p - 1, p, p + 1 where they are <= 1024."""
+    precs = {1, 2, 3, 64, 65, 512, 1024}
+    precs |= {q for q in (p - 1, p, p + 1) if 1 <= q <= 1024}
+    return sorted(precs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_sigma_matches_substitution_oracle(p):
+    rng = random.Random(p + 2)
+    for prec in sigma_precisions(p):
+        cases = [TruncSeries.zero(p, prec), TruncSeries.one(p, prec)]
+        cases.append(TruncSeries(p, [rng.randrange(1, p)], prec))
+        cases += [
+            TruncSeries.monomial(p, prec, d, rng.randrange(1, p))
+            for d in sorted({1, prec // 2, prec - 1})
+        ]
+        cases.append(TruncSeries(p, [rng.randrange(p) for _ in range(prec)], prec))
+        for f in cases:
+            got = sigma(f)
+            assert got == sigma_by_substitution(f), (p, prec, f)
+            assert got.coeffs.dtype == np.int64 and not got.coeffs.flags.writeable
+            assert not np.shares_memory(got.coeffs, f.coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_sigma_is_ring_involution_at_4096(p):
+    rng = random.Random(p + 3)
+    prec = 4096
+    f = TruncSeries(p, [rng.randrange(p) for _ in range(prec)], prec)
+    g = TruncSeries(p, [rng.randrange(p) for _ in range(prec)], prec)
+    assert sigma(sigma(f)) == f
+    assert sigma(f + g) == sigma(f) + sigma(g)
+    assert sigma(f * g) == sigma(f) * sigma(g)
+
+
+def test_sigma_rejects_non_series():
+    with pytest.raises(UsageError, match="expected TruncSeries, got int"):
+        sigma(3)
+
+
 # -- act ----------------------------------------------------------------------
 
 
