@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError, SearchExhaustedError, UsageError
+from .errors import ResourceLimitError, SearchExhaustedError, UsageError, exact_ints
 from .fpx import LaurentTrunc, TruncSeries, validate_prime
 
 __all__ = [
@@ -285,8 +285,8 @@ def census_ratio_set(p: int, alpha, beta, k: int, i: int) -> CensusSet:
     ResourceLimitError when the work p^(2i(n+1)) exceeds MAX_CENSUS_WORK.
     """
     p = validate_prime(p)
-    alpha = [int(a) % p for a in alpha]
-    beta = [int(b) % p for b in beta]
+    alpha = exact_ints(alpha, "alpha coefficient", mod=p)
+    beta = exact_ints(beta, "beta coefficient", mod=p)
     n = len(alpha)
     if n < 1 or len(beta) != n:
         raise UsageError("alpha and beta must have equal positive length")

@@ -64,10 +64,10 @@ def _check_prec(prec: int) -> None:
 def _parse_exponent(text: str, p: int, min_prec: int) -> PadicInt:
     text = text.strip()
     if "," in text:
-        digits = [_parse_int(part) for part in text.split(",") if part.strip() != ""]
-        bad = [d for d in digits if not 0 <= d < p]
-        if bad:
-            raise UsageError(f"digit {bad[0]} is not in [0, {p})")
+        parts = text.split(",")
+        if not parts[-1].strip():
+            parts.pop()  # "1," is the one way to write a single digit
+        digits = [_parse_int(part) for part in parts]
         if len(digits) < min_prec:
             raise UsageError(
                 f"digit list has {len(digits)} digits; precision {min_prec} needed"
@@ -305,15 +305,14 @@ def _cmd_tower(args):
         )
     if not report.complete:
         lines.append(f"stopped: {report.stopped_reason}")
-    status = _status(report.passed) if report.complete else "stopped"
-    return doc, "\n".join(lines) + "\n", status
+    return doc, "\n".join(lines) + "\n", report.status
 
 
 def _cmd_report(args):
     sections = None if args.all else (args.section or None)
     doc = run_report(sections=sections, seed=args.seed, with_timings=args.timings)
     # the report document has no "command" key, unlike the subcommands'
-    return doc.to_json_dict(), doc.render_text(), _status(doc.passed)
+    return doc.to_json_dict(), doc.render_text(), doc.status
 
 
 # -- argument wiring --------------------------------------------------------

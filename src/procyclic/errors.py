@@ -1,14 +1,24 @@
-"""Exception taxonomy shared by all procyclic modules.
+"""Exception taxonomy shared by all procyclic modules, and the entry gate.
 
 Callers can rely on three coarse classes: bad arguments (UsageError),
 work refused because it would exceed a size budget (ResourceLimitError),
 and searches that ran out of room (SearchExhaustedError).  The CLI maps
-these to exit codes 2 and 3.  Size budgets read from the environment are
-parsed here too, so a malformed value is a UsageError like any other bad
-argument.
+these to exit codes 2 and 3.
+
+Outside values are parsed here too, so a malformed one is a UsageError
+like any other bad argument.  Size budgets read from the environment must
+be integers of at least 1.  Integers handed to a constructor or parser
+(coefficients, digits, matrix entries, table indices, precisions) pass
+through one gate, ``exact_ints`` and its scalar form ``exact_int``: Python
+ints and numpy integers of any dtype pass, while floats (2.0 included),
+bools, strings and None are refused rather than truncated or coerced.
+Residues mod p are reduced whatever their size; indices and digits must
+already lie in range.
 """
 
 import os
+
+import numpy as np
 
 
 class UsageError(ValueError):
@@ -39,7 +49,8 @@ class SearchExhaustedError(RuntimeError):
 def env_budget(name: str, default: int, limit: int | None = None) -> int:
     """Integer budget from environment variable name, or default if unset.
 
-    Raises UsageError for a value that is not an integer or exceeds limit.
+    Raises UsageError for a value that is not an integer, is below 1 or
+    exceeds limit.
     """
     value = os.environ.get(name)
     if not value:
@@ -48,6 +59,40 @@ def env_budget(name: str, default: int, limit: int | None = None) -> int:
         budget = int(value)
     except ValueError:
         raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if budget < 1:
+        raise UsageError(f"{name} must be at least 1, got {budget}")
     if limit is not None and budget > limit:
         raise UsageError(f"{name} must be at most {limit}, got {budget}")
     return budget
+
+
+def exact_int(value, what: str) -> int:
+    """value as a Python int; UsageError unless it is an int or numpy integer."""
+    if type(value) is int or isinstance(value, np.integer):  # not bool, not np.bool_
+        return int(value)
+    raise UsageError(f"{what} must be an integer, got {value!r}")
+
+
+def exact_ints(values, what: str, ndim: int = 1, hi=None, mod=None, dtype=np.int64):
+    """The caller's integers as an ndim-dimensional array of dtype.
+
+    values is a numpy integer array or nested sequences of exact_int
+    entries.  With mod, entries of any size are reduced into [0, mod);
+    without it, each must lie in [0, hi).  An integer array is checked in
+    its own dtype, and returned uncopied when it has dtype and no mod.
+    """
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if arr.ndim != ndim:
+        raise UsageError(f"{what} data must be {ndim}-dimensional, got {arr.ndim} dimensions")
+    if arr.dtype.kind in "iu":
+        # a Python int mod takes arr's dtype (int8 cannot hold 65521), and an
+        # int64 one would promote uint64 to float64
+        wide = np.uint64 if arr.dtype == np.uint64 else np.int64
+    else:
+        flat = [exact_int(v, what) for v in arr.flat]
+        arr, wide = np.array(flat, dtype=object).reshape(arr.shape), int
+    if mod is not None:
+        arr = np.mod(arr, wide(mod))
+    elif arr.size and (arr.min() < 0 or arr.max() >= hi):
+        raise UsageError(f"{what} {arr[(arr < 0) | (arr >= hi)][0]} is not in [0, {hi})")
+    return arr.astype(dtype, copy=False)

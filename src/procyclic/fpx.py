@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotAUnitError, UsageError
+from .errors import NotAUnitError, UsageError, exact_int, exact_ints
 
 __all__ = [
     "TruncSeries",
@@ -73,12 +73,11 @@ SCHOOLBOOK_CUTOFF = 4096
 _SMALL_SUPPORT = 4
 
 
-@lru_cache(maxsize=None)
+# typed, or validate_prime(2.0) would hit the entry of validate_prime(np.int64(2))
+@lru_cache(maxsize=None, typed=True)
 def validate_prime(p: int) -> int:
     """Return p if it is a prime in [2, 2^16]; raise UsageError otherwise."""
-    if not isinstance(p, (int, np.integer)):
-        raise UsageError(f"prime must be an integer, got {type(p).__name__}")
-    p = int(p)
+    p = exact_int(p, "prime")
     if p < 2 or p > MAX_PRIME:
         raise UsageError(f"prime must lie in [2, {MAX_PRIME}], got {p}")
     if p % 2 == 0 and p != 2:
@@ -91,23 +90,6 @@ def validate_prime(p: int) -> int:
     return p
 
 
-def _as_coeff_array(coeffs, p: int, prec: int) -> np.ndarray:
-    try:
-        arr = np.asarray(coeffs, dtype=np.int64)
-    except OverflowError:
-        # a Python int outside int64; coefficients live in F_p, so reduce first
-        arr = np.asarray([int(c) % p for c in coeffs], dtype=np.int64)
-    if arr.ndim != 1:
-        raise UsageError("coefficients must be one-dimensional")
-    if arr.size > prec:
-        arr = arr[:prec]
-    elif arr.size < prec:
-        arr = np.concatenate([arr, np.zeros(prec - arr.size, dtype=np.int64)])
-    arr = np.mod(arr, p)
-    arr.flags.writeable = False
-    return arr
-
-
 class TruncSeries:
     """Element of F_p[x]/(x^prec), coefficients little-endian."""
 
@@ -115,13 +97,18 @@ class TruncSeries:
 
     def __init__(self, p: int, coeffs, prec: int | None = None):
         p = validate_prime(p)
-        if prec is None:
-            prec = len(coeffs)
+        arr = exact_ints(coeffs, "coefficient", mod=p)
+        prec = arr.size if prec is None else exact_int(prec, "precision")
         if prec < 1:
             raise UsageError("precision must be a positive integer")
+        if arr.size > prec:
+            arr = arr[:prec].copy()
+        elif arr.size < prec:
+            arr = np.concatenate([arr, np.zeros(prec - arr.size, dtype=np.int64)])
+        arr.flags.writeable = False
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", int(prec))
-        object.__setattr__(self, "coeffs", _as_coeff_array(coeffs, p, prec))
+        object.__setattr__(self, "prec", prec)
+        object.__setattr__(self, "coeffs", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -153,11 +140,14 @@ class TruncSeries:
 
     @classmethod
     def monomial(cls, p: int, prec: int, degree: int, coeff: int = 1) -> "TruncSeries":
+        prec = exact_int(prec, "precision")
+        degree = exact_int(degree, "monomial degree")
         if degree < 0:
             raise UsageError("monomial degree must be nonnegative")
-        c = np.zeros(prec, dtype=np.int64)
-        if degree < prec:
-            c[degree] = coeff
+        if degree >= prec:
+            return cls.zero(p, prec)
+        c = np.zeros(degree + 1, dtype=np.int64)
+        c[degree] = exact_int(coeff, "monomial coefficient") % validate_prime(p)
         return cls(p, c, prec)
 
     @classmethod
@@ -270,9 +260,7 @@ class TruncSeries:
         return TruncSeries._reduced(p, prod)
 
     def __pow__(self, n: int) -> "TruncSeries":
-        if not isinstance(n, (int, np.integer)):
-            raise UsageError("exponent must be an integer")
-        n = int(n)
+        n = exact_int(n, "exponent")
         if n < 0:
             return self.invert() ** (-n)
         result = TruncSeries.one(self.p, self.prec)
@@ -443,6 +431,7 @@ class LaurentTrunc:
     __slots__ = ("val", "body")
 
     def __init__(self, val: int, body: TruncSeries):
+        val = exact_int(val, "Laurent valuation")
         if body.is_zero():
             val = 0
         elif body.coeffs[0] == 0:
@@ -450,7 +439,7 @@ class LaurentTrunc:
                 "Laurent body must be a unit (nonzero constant term); "
                 "use from_series to normalize"
             )
-        object.__setattr__(self, "val", int(val))
+        object.__setattr__(self, "val", val)
         object.__setattr__(self, "body", body)
 
     def __setattr__(self, name, value):
@@ -537,10 +526,6 @@ def parse_series(text: str, p: int, prec: int) -> TruncSeries:
             coeffs = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"series is not a JSON array: {exc}") from None
-        if not isinstance(coeffs, list) or not all(
-            isinstance(c, int) for c in coeffs
-        ):
-            raise UsageError("JSON series must be an array of integers")
         return TruncSeries(p, coeffs, prec)
     coeffs = np.zeros(prec, dtype=np.int64)
     # normalize "a - b" to "a + -b" before splitting on +

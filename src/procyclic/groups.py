@@ -32,7 +32,7 @@ import json
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError, env_budget
+from .errors import ResourceLimitError, UsageError, env_budget, exact_int, exact_ints
 from .fpx import validate_prime
 
 __all__ = [
@@ -88,13 +88,12 @@ class FiniteGroup:
 
     def __init__(self, p: int, table, generator_names=None):
         p = validate_prime(p)
-        tab = np.asarray(table, dtype=np.uint16)
-        if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
-            raise UsageError("multiplication table must be square")
+        # entries index the rows; a table that is not square fails below
+        tab = exact_ints(table, "table entry", ndim=2, hi=len(table), dtype=np.uint16)
         m = tab.shape[0]
+        if tab.shape[1] != m:
+            raise UsageError("multiplication table must be square")
         _p_power_exponent(m, p)
-        if tab.size and int(tab.max()) >= m:
-            raise UsageError("table entries must be element indices")
         identity = self._find_identity(tab)
         inverses = self._find_inverses(tab, identity)
         self._check_associativity(tab, identity)
@@ -261,16 +260,17 @@ class FiniteGroup:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteGroup":
         try:
-            order = int(data["order"])
-            table = np.asarray(data["table"], dtype=np.uint16).reshape(order, order)
-            prime = int(data["prime"])
-            names = data.get("generator_names") or ()
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            prime, order, table = data["prime"], data["order"], data["table"]
+        except (KeyError, TypeError) as exc:
             raise UsageError(
                 "group JSON needs 'prime', 'order' and an order x order 'table' "
-                f"of uint16 indices ({type(exc).__name__}: {exc})"
+                f"({type(exc).__name__}: {exc})"
             ) from None
-        return cls(prime, table, generator_names=names)
+        order = exact_int(order, "group order")
+        table = exact_ints(table, "table entry", hi=order, dtype=np.uint16)
+        if table.size != order * order:
+            raise UsageError(f"a group of order {order} needs {order * order} table entries")
+        return cls(prime, table.reshape(order, order), data.get("generator_names"))
 
     def __repr__(self) -> str:
         return f"FiniteGroup(p={self.p}, order={self.order})"
@@ -282,11 +282,9 @@ class GroupHom:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
-        img = np.asarray(images, dtype=np.uint16)
+        img = exact_ints(images, "image", hi=target.order, dtype=np.uint16)
         if img.shape != (source.order,):
             raise UsageError("image table length must equal the source order")
-        if img.size and int(img.max()) >= target.order:
-            raise UsageError("image table entries must index the target")
         if int(img[source.identity]) != target.identity:
             raise UsageError("homomorphism must preserve the identity")
         if not np.array_equal(img[source.table], target.table[np.ix_(img, img)]):

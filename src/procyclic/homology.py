@@ -302,11 +302,12 @@ class TowerReport:
     stopped_reason: str | None = None
 
     @property
-    def passed(self) -> bool:
-        """Every level was reached and every row satisfies both checks."""
-        return self.complete and all(
-            row.collapse_ok and row.inequality_ok for row in self.rows
-        )
+    def status(self) -> str:
+        """fail if a row fails a check, else stopped if a budget cut the tower
+        short, else pass."""
+        if not all(row.collapse_ok and row.inequality_ok for row in self.rows):
+            return "fail"
+        return "pass" if self.complete else "stopped"
 
 
 def tower_report(p: int, i_max: int) -> TowerReport:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError, exact_ints
 from .fpx import validate_prime
 
 __all__ = [
@@ -43,10 +43,7 @@ class FpMatrix:
 
     def __init__(self, p: int, array):
         p = validate_prime(p)
-        arr = np.asarray(array, dtype=np.int64)
-        if arr.ndim != 2:
-            raise UsageError("matrix data must be two-dimensional")
-        arr = np.mod(arr, p)
+        arr = exact_ints(array, "matrix entry", ndim=2, mod=p)
         arr.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "array", arr)

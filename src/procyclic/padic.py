@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, exact_int, exact_ints
 from .fpx import validate_prime
 
 __all__ = ["PadicInt"]
@@ -24,27 +24,18 @@ class PadicInt:
 
     def __init__(self, p: int, digits, prec: int | None = None):
         p = validate_prime(p)
-        if prec is None:
-            prec = len(digits)
+        # no mod: reducing a digit mod p on its own would change the value
+        arr = exact_ints(digits, "digit", hi=p)
+        prec = arr.size if prec is None else exact_int(prec, "digit precision")
         if prec < 1:
             raise UsageError("digit precision must be a positive integer")
-        try:
-            arr = np.asarray(digits, dtype=np.int64)
-        except OverflowError:
-            raise UsageError(f"a digit is not in [0, {p})") from None
-        if arr.ndim != 1:
-            raise UsageError("digits must be one-dimensional")
-        bad = arr[(arr < 0) | (arr >= p)]
-        if bad.size:
-            # reducing a digit mod p on its own would change the value
-            raise UsageError(f"digit {int(bad[0])} is not in [0, {p})")
         if arr.size < prec:
             arr = np.concatenate([arr, np.zeros(prec - arr.size, dtype=np.int64)])
         else:
             arr = arr[:prec].copy()
         arr.flags.writeable = False
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", int(prec))
+        object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "digits", arr)
 
     def __setattr__(self, name, value):
@@ -53,10 +44,10 @@ class PadicInt:
     @classmethod
     def from_int(cls, n: int, p: int, prec: int) -> "PadicInt":
         """Digits of n mod p^prec; negative n is reduced into range."""
-        p = validate_prime(p)
+        p, prec = validate_prime(p), exact_int(prec, "digit precision")
         if prec < 1:
             raise UsageError("digit precision must be a positive integer")
-        n = int(n) % (p**prec)
+        n = exact_int(n, "n") % (p**prec)
         digits = np.zeros(prec, dtype=np.int64)
         for i in range(prec):
             n, digits[i] = divmod(n, p)

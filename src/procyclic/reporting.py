@@ -72,7 +72,7 @@ SECTION_ORDER = (
 @dataclass
 class Section:
     name: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail" | "stopped" (a size budget cut it short)
     rows: list = field(default_factory=list)
     timing_s: float | None = None
 
@@ -99,8 +99,11 @@ class ReportDocument:
     sections: list[Section] = field(default_factory=list)
 
     @property
-    def passed(self) -> bool:
-        return all(s.status == "pass" for s in self.sections)
+    def status(self) -> str:
+        """The exit status: fail if any section failed, else stopped if any
+        section stopped, else pass."""
+        statuses = {s.status for s in self.sections}
+        return next((s for s in ("fail", "stopped") if s in statuses), "pass")
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,7 +117,7 @@ class ReportDocument:
         for key, value in sorted(self.config.items()):
             lines.append(f"  config {key} = {value}")
         for section in self.sections:
-            mark = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[section.status]
+            mark = {"pass": "PASS", "fail": "FAIL", "stopped": "STOP"}[section.status]
             suffix = (
                 f"  [{section.timing_s:.3f}s]" if section.timing_s is not None else ""
             )
@@ -441,14 +444,14 @@ def tower_row(row: TowerRow) -> dict:
 def section_tower(p: int = 2, i_max: int = 2) -> Section:
     report = tower_report(p, i_max)
     rows = [tower_row(row) for row in report.rows]
-    ok = report.passed
+    status = report.status
     if p == 2 and report.rows:
         expected_first = report.rows[0].h2_dim == 6
-        ok &= expected_first
+        status = status if expected_first else "fail"
         rows.append({"dl1_h2_is_6": expected_first})
     if not report.complete:
         rows.append({"stopped": report.stopped_reason})
-    return Section("tower", "pass" if ok else "fail", rows)
+    return Section("tower", status, rows)
 
 
 _RUNNERS = {

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from procyclic.cli import main
+from procyclic.reporting import ReportDocument, Section
 
 
 def run_cli(capsys, *argv):
@@ -168,10 +169,38 @@ def test_tower_stops_at_h2_budget(capsys, monkeypatch):
     )
 
 
+def test_tau_digit_list_keeps_one_trailing_comma(capsys):
+    # "1," is the only way to write a one-digit list
+    assert run_cli(capsys, "tau", "--p", "2", "--alpha=1,", "--prec", "2") == (
+        0,
+        "1 + x\n[1, 1]\n",
+        "",
+    )
+
+
+def test_report_tower_stopped_by_budget_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("PROCYCLIC_MAX_BAR", "8")
+    code, out, err = run_cli(capsys, "report", "--section", "tower")
+    assert (code, err) == (3, "")
+    assert "[STOP] tower" in out
+    code, out, _ = run_cli(capsys, "report", "--section", "tower", "--json")
+    assert code == 3
+    assert json.loads(out)["sections"][0]["status"] == "stopped"
+
+
+def test_report_status_ranks_fail_over_stopped():
+    doc = ReportDocument(config={}, sections=[Section("a", "stopped"), Section("b", "fail")])
+    assert doc.status == "fail"
+    doc.sections.pop()
+    assert doc.status == "stopped"
+
+
 BAD_INPUTS = {
     "max-bar-not-int": ({"PROCYCLIC_MAX_BAR": "abc"}, None, ["h2"]),
     "max-group-not-int": ({"PROCYCLIC_MAX_GROUP": "1.5"}, None, ["h2"]),
     "max-group-above-uint16": ({"PROCYCLIC_MAX_GROUP": "65537"}, None, ["h2"]),
+    "max-group-zero": ({"PROCYCLIC_MAX_GROUP": "0"}, None, ["h2"]),
+    "max-bar-negative": ({"PROCYCLIC_MAX_BAR": "-5"}, None, ["h2"]),
     "group-file-missing": ({}, None, ["h2", "--group-file", "{dir}/absent.json"]),
     "group-file-malformed": ({}, "{not json", ["h2", "--group-file", "{file}"]),
     "group-file-no-table": (
@@ -191,7 +220,36 @@ BAD_INPUTS = {
         "[0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3, 3, 2, 4, 0, 1, 4, 3, 1, 2, 0]}",
         ["h2", "--group-file", "{file}"],
     ),
+    # a truncating or coercing reader would answer these with a dimension
+    "group-file-fractional-entry": (
+        {},
+        '{"prime": 2, "order": 2, "table": [0, 1.5, 1, 0]}',
+        ["h2", "--group-file", "{file}"],
+    ),
+    "group-file-fractional-order": (
+        {},
+        '{"prime": 2, "order": 2.9, "table": [0, 1, 1, 0]}',
+        ["h2", "--group-file", "{file}"],
+    ),
+    "group-file-string-prime": (
+        {},
+        '{"prime": "2", "order": 2, "table": [0, 1, 1, 0]}',
+        ["h2", "--group-file", "{file}"],
+    ),
+    "group-file-bool-entries": (
+        {},
+        '{"prime": 2, "order": 2, "table": [false, true, true, false]}',
+        ["h2", "--group-file", "{file}"],
+    ),
+    "group-file-entry-above-uint16": (
+        {},
+        '{"prime": 2, "order": 2, "table": [0, 1, 1, 65537]}',
+        ["h2", "--group-file", "{file}"],
+    ),
+    "density-gap-f-bool": ({}, None, ["density-gap", "--p", "2", "--f", "[true, 1]"]),
     "tau-alpha-not-int": ({}, None, ["tau", "--p", "2", "--alpha", "x", "--prec", "8"]),
+    "tau-alpha-empty-digit": ({}, None, ["tau", "--p", "3", "--alpha=1,,2", "--prec", "9"]),
+    "tau-alpha-empty-first-digit": ({}, None, ["tau", "--p", "3", "--alpha=,1,2", "--prec", "9"]),
     "frobenius-imax-zero": ({}, None, ["verify-frobenius", "--p", "2", "--imax", "0"]),
     "out-unwritable": (
         {},

@@ -1,0 +1,135 @@
+"""The entry gate: integers enter the package exactly, or not at all.
+
+Every constructor and parser that takes caller integers refuses a float
+(2.0 included), a bool, a string or None with UsageError instead of
+truncating or coercing it, and a numpy integer array of any dtype builds
+the same value as the list of the same Python ints.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from procyclic import (
+    FiniteGroup,
+    FpMatrix,
+    GroupHom,
+    LaurentTrunc,
+    PadicInt,
+    TruncSeries,
+    census_ratio_set,
+    cyclic_group,
+    parse_series,
+)
+from procyclic.errors import UsageError
+
+Z2 = cyclic_group(2, 1)
+
+# each case builds a value from two entries (valid: [0, 1]) and returns a
+# key that compares equal exactly when the values are equal
+CASES = {
+    "TruncSeries": lambda e: TruncSeries(2, e),
+    "PadicInt": lambda e: PadicInt(2, e),
+    "FpMatrix": lambda e: FpMatrix(2, [e, e]).array.tolist(),
+    "FiniteGroup": lambda e: FiniteGroup(2, [e, e[::-1]]).table.tolist(),
+    "GroupHom": lambda e: GroupHom(Z2, Z2, e).images.tolist(),
+    "from_json_dict": lambda e: FiniteGroup.from_json_dict(
+        {"prime": 2, "order": 2, "table": list(e) + list(e[::-1])}
+    ).table.tolist(),
+    "census_ratio_set": lambda e: census_ratio_set(2, e, [1, 1], 1, 1),
+}
+# parse_series takes text, so its entries are the JSON-encodable ones
+JSON_CASE = {"parse_series": lambda e: parse_series(json.dumps(e), 2, 2)}
+
+NON_INTEGRAL = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(0, 1).map(float),  # 0.0 and 1.0 would pass a truncating cast
+    st.booleans(),
+    st.integers(0, 1).map(str),
+    st.none(),
+)
+NUMPY_NON_INTEGRAL = st.one_of(
+    st.floats(allow_nan=False).map(np.float64),
+    st.booleans().map(np.bool_),
+)
+
+DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(sorted(CASES)),
+    bad=st.one_of(NON_INTEGRAL, NUMPY_NON_INTEGRAL),
+    where=st.integers(0, 1),
+)
+def test_non_integral_entry_is_refused(case, bad, where):
+    entries = [0, 1]
+    entries[where] = bad
+    with pytest.raises(UsageError, match="must be an integer"):
+        CASES[case](entries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bad=NON_INTEGRAL, where=st.integers(0, 1))
+def test_non_integral_json_coefficient_is_refused(bad, where):
+    entries = [0, 1]
+    entries[where] = bad
+    with pytest.raises(UsageError, match="must be an integer"):
+        JSON_CASE["parse_series"](entries)
+
+
+@st.composite
+def _typed_entries(draw):
+    dtype = draw(st.sampled_from(DTYPES))
+    info = np.iinfo(dtype)
+    value = st.one_of(st.integers(0, 1), st.integers(int(info.min), int(info.max)))
+    return dtype, [draw(value), draw(value)]
+
+
+def _outcome(build, entries):
+    try:
+        return build(entries)
+    except UsageError as exc:
+        return f"UsageError: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(sorted(CASES)), typed=_typed_entries())
+def test_every_integer_dtype_matches_python_ints(case, typed):
+    dtype, entries = typed
+    build = CASES[case]
+    assert _outcome(build, np.array(entries, dtype=dtype)) == _outcome(build, entries)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TruncSeries(5, [1, 2], 2.0),
+        lambda: PadicInt(3, [1, 2], 2.0),
+        lambda: TruncSeries.monomial(5, 4, 1, 2.5),
+        lambda: TruncSeries.monomial(5, 4, 1.0),
+        lambda: TruncSeries.monomial(5, 4.0, 1),
+        lambda: PadicInt.from_int(2.5, 3, 2),
+        lambda: PadicInt.from_int(2, 3, 2.0),
+        lambda: LaurentTrunc(2.5, TruncSeries(5, [1, 2])),
+        lambda: LaurentTrunc(True, TruncSeries(5, [1, 2])),
+        lambda: TruncSeries(5, [1, 2]) ** True,
+    ],
+)
+def test_non_integral_scalar_argument_is_refused(build):
+    with pytest.raises(UsageError, match="must be an integer"):
+        build()
+
+
+def test_float_prime_is_refused_after_an_equal_integer_is_cached():
+    TruncSeries(np.int64(2), [1])
+    with pytest.raises(UsageError, match="prime must be an integer"):
+        TruncSeries(2.0, [1])
+
+
+def test_big_scalar_coefficient_is_reduced():
+    assert TruncSeries.monomial(5, 4, 1, 10**30 + 2) == TruncSeries(5, [0, 2], 4)
+    assert PadicInt.from_int(-(3**40) - 1, 3, 2) == PadicInt.from_int(-1, 3, 2)
