@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError, SearchExhaustedError, UsageError, exact_ints
+from .errors import ResourceLimitError, SearchExhaustedError, UsageError, exact_int, exact_ints
 from .fpx import LaurentTrunc, TruncSeries, validate_prime
 
 __all__ = [
@@ -290,6 +290,8 @@ def census_ratio_set(p: int, alpha, beta, k: int, i: int) -> CensusSet:
     n = len(alpha)
     if n < 1 or len(beta) != n:
         raise UsageError("alpha and beta must have equal positive length")
+    k = exact_int(k, "k")
+    i = exact_int(i, "census level")
     if k < 1:
         raise UsageError("k must be >= 1")
     if i < k:

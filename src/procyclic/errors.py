@@ -7,9 +7,9 @@ these to exit codes 2 and 3.
 
 Outside values are parsed here too, so a malformed one is a UsageError
 like any other bad argument.  Size budgets read from the environment must
-be integers of at least 1.  Integers handed to a constructor or parser
-(coefficients, digits, matrix entries, table indices, precisions) pass
-through one gate, ``exact_ints`` and its scalar form ``exact_int``: Python
+be integers of at least 1.  Integers handed to a constructor, parser or
+builder (coefficients, digits, matrix entries, table and element indices,
+precisions, levels) pass through one gate, ``exact_ints`` and its scalar form ``exact_int``: Python
 ints and numpy integers of any dtype pass, while floats (2.0 included),
 bools, strings and None are refused rather than truncated or coerced.
 Residues mod p are reduced whatever their size; indices and digits must

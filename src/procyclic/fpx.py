@@ -64,8 +64,10 @@ INT64_CUTOFF = 64
 
 # At or below this precision products are float64 convolutions, exact while
 # SCHOOLBOOK_CUTOFF * (MAX_PRIME - 1)^2 < 2^53; above it libmpdec's
-# transform product is faster at every p.  At 4096 itself the convolution of
-# trimmed operands wins on the mostly-zero powers of section_frobenius.
+# transform product is faster at every p.  At 4096 itself, dense operands
+# would be faster on the decimal path; the float path is exact whenever the
+# shorter trimmed operand has at most 4096 terms, so the choice could follow
+# trimmed support instead of N.
 SCHOOLBOOK_CUTOFF = 4096
 
 # Above INT64_CUTOFF, operands with at most this many nonzero terms are
@@ -178,6 +180,7 @@ class TruncSeries:
 
     def truncate(self, prec: int) -> "TruncSeries":
         """Reduce to a smaller precision (a ring homomorphism)."""
+        prec = exact_int(prec, "precision")
         if prec < 1 or prec > self.prec:
             raise UsageError(f"cannot truncate precision {self.prec} to {prec}")
         return TruncSeries._reduced(self.p, self.coeffs[:prec].copy())

@@ -81,6 +81,15 @@ def _right_closure(tab: np.ndarray, reached: np.ndarray, gens) -> None:
         frontier = np.flatnonzero(new)
 
 
+def _generator_names(names) -> tuple[str, ...]:
+    """names (None for none) as a tuple; UsageError unless a sequence of str."""
+    if names is None:
+        return ()
+    if isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names):
+        return tuple(names)
+    raise UsageError(f"generator_names must be a list of strings, got {names!r}")
+
+
 class FiniteGroup:
     """Multiplication-table group of p-power order."""
 
@@ -104,7 +113,7 @@ class FiniteGroup:
         object.__setattr__(self, "table", tab)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverses", inverses)
-        object.__setattr__(self, "generator_names", tuple(generator_names or ()))
+        object.__setattr__(self, "generator_names", _generator_names(generator_names))
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
@@ -185,8 +194,15 @@ class FiniteGroup:
         """Subgroup generated by a set of element indices (BFS closure)."""
         reached = np.zeros(self.order, dtype=bool)
         reached[self.identity] = True
-        _right_closure(self.table, reached, sorted(set(int(g) for g in generators)))
+        _right_closure(self.table, reached, self._index_set(generators))
         return frozenset(np.flatnonzero(reached).tolist())
+
+    def _index_set(self, elements) -> list[int]:
+        """Sorted distinct element indices; UsageError unless each is an exact
+        integer in [0, order), so a float never truncates and -1 never wraps."""
+        if not isinstance(elements, np.ndarray):
+            elements = list(elements)
+        return sorted(set(exact_ints(elements, "element index", hi=self.order).tolist()))
 
     def _mask(self, elements) -> np.ndarray:
         """Membership mask of an index list or array (dedupe without np.unique)."""
@@ -195,12 +211,12 @@ class FiniteGroup:
         return mask
 
     def is_subgroup(self, elements) -> bool:
-        h = sorted(set(int(x) for x in elements))
+        h = self._index_set(elements)
         mask = self._mask(h)
         return bool(mask[self.identity]) and bool(mask[self.table[np.ix_(h, h)]].all())
 
     def is_normal(self, elements) -> bool:
-        h = sorted(set(int(x) for x in elements))
+        h = self._index_set(elements)
         if not self.is_subgroup(h):
             return False
         tab, g = self.table, np.arange(self.order)
@@ -209,11 +225,11 @@ class FiniteGroup:
 
     def commutator_p_subgroup(self) -> frozenset[int]:
         """[G, G] G^p: the kernel of the maximal elementary abelian quotient."""
-        return self.relative_commutator_p(range(self.order))
+        return self.relative_commutator_p(np.arange(self.order))
 
     def relative_commutator_p(self, h_elements) -> frozenset[int]:
         """[H, G] H^p for a subgroup H given as an index set."""
-        h = sorted(set(int(x) for x in h_elements))
+        h = self._index_set(h_elements)
         tab, inv = self.table, self.inverses
         # every commutator x^(-1) g^(-1) x g, x in H (rows), g in G, in one gather
         gens = self._mask(tab[tab[np.ix_(inv[h], inv)], tab[h]])
@@ -222,7 +238,7 @@ class FiniteGroup:
 
     def quotient(self, h_elements) -> tuple["FiniteGroup", "GroupHom"]:
         """Quotient by a normal subgroup, with the projection homomorphism."""
-        h = frozenset(int(x) for x in h_elements)
+        h = frozenset(self._index_set(h_elements))
         if not self.is_normal(h):
             raise UsageError("can only quotient by a normal subgroup")
         coset_of: dict[int, int] = {}
@@ -307,6 +323,7 @@ class GroupHom:
 def cyclic_group(p: int, e: int) -> FiniteGroup:
     """Z / p^e as a table group."""
     p = validate_prime(p)
+    e = exact_int(e, "exponent")
     if e < 0:
         raise UsageError("exponent must be nonnegative")
     m = p**e
@@ -320,6 +337,7 @@ def cyclic_group(p: int, e: int) -> FiniteGroup:
 def elementary_abelian(p: int, r: int) -> FiniteGroup:
     """(Z/p)^r, elements encoded as little-endian base-p words."""
     p = validate_prime(p)
+    r = exact_int(r, "rank")
     if r < 0:
         raise UsageError("rank must be nonnegative")
     m = p**r
@@ -358,9 +376,10 @@ def build_lamplighter(p: int, i: int, copies: int = 2) -> FiniteGroup:
     `lamplighter_socle` for the central socle.
     """
     p = validate_prime(p)
+    i = exact_int(i, "level")
     if i < 1:
         raise UsageError("level i must be >= 1")
-    if copies not in (1, 2):
+    if exact_int(copies, "copies") not in (1, 2):
         raise UsageError("copies must be 1 or 2")
     cyclic_order = p**i
     order = p ** (i * copies) * cyclic_order
@@ -423,7 +442,7 @@ def hopf_quotient(group: FiniteGroup, h_elements) -> int:
     abelian because H^p and [H, G] land in the denominator, so its
     dimension is log_p of the index.
     """
-    h = frozenset(int(x) for x in h_elements)
+    h = frozenset(group._index_set(h_elements))
     if not group.is_normal(h):
         raise UsageError("H must be a normal subgroup")
     numerator = h & group.commutator_p_subgroup()

@@ -140,12 +140,25 @@ def _random_unit(rng: random.Random, p: int, prec: int) -> TruncSeries:
 
 
 def section_frobenius(primes=(2, 3, 5), i_max: int = 10, prec: int = 4096) -> Section:
+    """Check (1 - x)^(p^i) = 1 - x^(p^i) in F_p[x]/(x^prec) for i = 1..i_max.
+
+    The left side runs along the addition chain p^i = p * p^(i-1): level i
+    raises the level i - 1 power to the p-th power, so each level costs one
+    p-th power instead of powering 1 - x from scratch.  Each left side is
+    still the exact product (1 - x)^(p^i), formed by ring products alone
+    and never by assuming the identity under test, so a level that fails
+    its check still hands the true power to the next.  Once a level holds,
+    its value has two nonzero terms, and every later product takes the
+    small-support kernel.  The oracle powers 1 - x from scratch at every
+    level: tests/test_acceptance.py::test_01_frobenius_identity, and the
+    row-for-row comparison in tests/test_reporting.py.
+    """
     rows = []
     ok = True
     for p in primes:
-        base = TruncSeries.one_minus_x(p, prec)
+        lhs = TruncSeries.one_minus_x(p, prec)
         for i in range(1, i_max + 1):
-            lhs = base ** (p**i)
+            lhs = lhs**p
             rhs = TruncSeries.one(p, prec) - TruncSeries.monomial(p, prec, p**i)
             good = lhs == rhs
             ok &= good

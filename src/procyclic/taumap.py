@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, exact_int
 from .fpx import TruncSeries, validate_prime
 from .padic import PadicInt
 
@@ -84,6 +84,7 @@ def _factorials(p: int) -> tuple[np.ndarray, np.ndarray]:
 def tau(alpha: PadicInt, prec: int) -> TruncSeries:
     """(1 - x)^alpha in F_p[x]/(x^prec) for a p-adic exponent alpha."""
     p = alpha.p
+    prec = exact_int(prec, "precision")
     if prec < 1:
         raise UsageError("precision must be a positive integer")
     needed = min_digit_precision(p, prec)

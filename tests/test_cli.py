@@ -23,6 +23,13 @@ def test_verify_frobenius(capsys):
     assert "pass" in out
 
 
+def test_verify_frobenius_at_a_large_prime(capsys):
+    code, out, _ = run_cli(capsys, "verify-frobenius", "--p", "65521", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows == [{"exact": True, "i": i, "p": 65521} for i in range(1, 11)]
+
+
 def test_tau_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "tau", "--p", "2", "--alpha", "-1", "--prec", "8")
     assert code == 0
@@ -244,6 +251,17 @@ BAD_INPUTS = {
     "group-file-entry-above-uint16": (
         {},
         '{"prime": 2, "order": 2, "table": [0, 1, 1, 65537]}',
+        ["h2", "--group-file", "{file}"],
+    ),
+    "group-file-generator-names-not-list": (
+        {},
+        '{"prime": 2, "order": 2, "table": [0, 1, 1, 0], "generator_names": 5}',
+        ["h2", "--group-file", "{file}"],
+    ),
+    # a string would otherwise become one name per character
+    "group-file-generator-names-string": (
+        {},
+        '{"prime": 2, "order": 2, "table": [0, 1, 1, 0], "generator_names": "ab"}',
         ["h2", "--group-file", "{file}"],
     ),
     "density-gap-f-bool": ({}, None, ["density-gap", "--p", "2", "--f", "[true, 1]"]),

@@ -35,11 +35,11 @@ MALFORMED = st.sampled_from(
 COEFFS = st.one_of(MALFORMED, st.lists(st.integers(-3, 6), max_size=3).map(
     lambda xs: ",".join(map(str, xs))
 ))
-# report sections cheap enough to run many times; tau-soundness and
-# frobenius take a large share of a second each
+# report sections cheap enough to run many times; tau-soundness takes a
+# large share of a second
 SECTIONS = st.sampled_from(
-    ["antipode-bijection", "finite-collapse", "counting-bound", "density-gap",
-     "mu-kappa", "homology-oracle", "five-term", "tower"]
+    ["frobenius", "antipode-bijection", "finite-collapse", "counting-bound",
+     "density-gap", "mu-kappa", "homology-oracle", "five-term", "tower"]
 )
 
 

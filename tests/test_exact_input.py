@@ -20,9 +20,12 @@ from procyclic import (
     LaurentTrunc,
     PadicInt,
     TruncSeries,
+    build_lamplighter,
     census_ratio_set,
     cyclic_group,
+    elementary_abelian,
     parse_series,
+    tau,
 )
 from procyclic.errors import UsageError
 
@@ -117,6 +120,15 @@ def test_every_integer_dtype_matches_python_ints(case, typed):
         lambda: LaurentTrunc(2.5, TruncSeries(5, [1, 2])),
         lambda: LaurentTrunc(True, TruncSeries(5, [1, 2])),
         lambda: TruncSeries(5, [1, 2]) ** True,
+        lambda: tau(PadicInt(2, [1, 0, 0]), 4.0),
+        lambda: TruncSeries(5, [1, 2]).truncate(1.5),
+        lambda: TruncSeries(5, [1, 2]).truncate(True),
+        lambda: cyclic_group(2, 2.0),
+        lambda: elementary_abelian(2, True),
+        lambda: build_lamplighter(2, 1.0),
+        lambda: build_lamplighter(2, 1, 2.0),
+        lambda: census_ratio_set(2, [1], [1], 1.0, 2),
+        lambda: census_ratio_set(2, [1], [1], 1, 2.0),
     ],
 )
 def test_non_integral_scalar_argument_is_refused(build):

@@ -133,7 +133,7 @@ def kernel_operands(rng, p, prec):
     pairs = [
         tuple(dense),
         (top, top),
-        (head, third),  # zero tails, as the powers in section_frobenius have
+        (head, third),  # long zero tails: each trimmed operand is far shorter than N
         (dense[0], TruncSeries(p, tail, prec)),
     ]
     # either side of the sparse path's support bound

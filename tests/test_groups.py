@@ -387,3 +387,47 @@ def test_hopf_rejects_non_normal():
     assert not g.is_normal(h)
     with pytest.raises(UsageError):
         hopf_quotient(g, h)
+
+
+# -- entry gate ----------------------------------------------------------------------------
+
+INDEX_SET_USERS = {
+    "subgroup_closure": lambda g, h: g.subgroup_closure(h),
+    "is_subgroup": lambda g, h: g.is_subgroup(h),
+    "is_normal": lambda g, h: g.is_normal(h),
+    "relative_commutator_p": lambda g, h: g.relative_commutator_p(h),
+    "quotient": lambda g, h: g.quotient(h)[0].order,
+    "hopf_quotient": hopf_quotient,
+}
+
+
+@pytest.mark.parametrize("use", sorted(INDEX_SET_USERS))
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ([0, 2.7], "must be an integer"),
+        ([0, 2.0], "must be an integer"),
+        ([0, True], "must be an integer"),
+        ([0, "2"], "must be an integer"),
+        ([-1], r"-1 is not in \[0, 4\)"),  # would wrap to element 3
+        ([0, 4], r"4 is not in \[0, 4\)"),
+        (np.array([0, 2.5]), "must be an integer"),
+    ],
+)
+def test_index_sets_pass_the_entry_gate(use, bad, message):
+    with pytest.raises(UsageError, match=message):
+        INDEX_SET_USERS[use](cyclic_group(2, 2), bad)
+
+
+@pytest.mark.parametrize("use", sorted(INDEX_SET_USERS))
+def test_index_set_containers_agree(use):
+    z4 = cyclic_group(2, 2)
+    want = INDEX_SET_USERS[use](z4, [0, 2])
+    for h in ([2, 0, 2], (0, 2), {0, 2}, frozenset({0, 2}), np.array([0, 2], dtype=np.uint8)):
+        assert INDEX_SET_USERS[use](z4, h) == want, h
+
+
+@pytest.mark.parametrize("names", [5, "ab", ["a", 1], [None], {"a": 1}])
+def test_generator_names_must_be_a_list_of_strings(names):
+    with pytest.raises(UsageError, match="generator_names must be a list of strings"):
+        FiniteGroup(2, [[0, 1], [1, 0]], names)
