@@ -191,6 +191,7 @@ class TruncSeries:
         Unlike truncate this is not canonical (the new coefficients are a
         choice of lift), so it is separate from the arithmetic ops.
         """
+        prec = exact_int(prec, "precision")
         if prec < self.prec:
             raise UsageError("extend target below current precision")
         coeffs = np.zeros(prec, dtype=np.int64)
@@ -207,6 +208,7 @@ class TruncSeries:
 
     def shift_up(self, k: int) -> "TruncSeries":
         """Multiply by x^k, growing precision by k (no information loss)."""
+        k = exact_int(k, "shift")
         if k < 0:
             raise UsageError("shift_up needs k >= 0")
         if k == 0:
@@ -220,6 +222,7 @@ class TruncSeries:
         Precision shrinks by k because the top k coefficients of the
         quotient are not determined by a truncation of the original.
         """
+        k = exact_int(k, "shift")
         if k < 0:
             raise UsageError("shift_down needs k >= 0")
         if k == 0:

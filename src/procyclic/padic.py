@@ -70,6 +70,7 @@ class PadicInt:
 
     def truncate(self, prec: int) -> "PadicInt":
         """Drop high digits; reduction mod p^prec is a ring homomorphism."""
+        prec = exact_int(prec, "digit precision")
         if prec < 1 or prec > self.prec:
             raise UsageError(f"cannot truncate digit precision {self.prec} to {prec}")
         return PadicInt(self.p, self.digits[:prec], prec)

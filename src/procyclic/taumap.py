@@ -26,6 +26,9 @@ of x^m in (1 - x)^n; the two forms agree because (1 - x)^(p^j) =
 1 - x^(p^j).  The coefficient vector is thus the Kronecker product of one
 short row per digit, the coefficients of (1 - y)^(d_j), built from
 factorials mod p; the tests keep the product form as the oracle.
+``tau_rows`` evaluates the closed form for a block of exponents at once,
+with a leading row axis on every array, so the numpy call overhead is paid
+once per block rather than once per exponent; ``tau`` is its one-row case.
 
 sigma is the ring involution induced by t -> t^(-1): it fixes constants
 and sends x to 1 - (1 - x)^(-1) = -x/(1 - x) = -(x + x^2 + ...).  sigma(f)
@@ -81,6 +84,36 @@ def _factorials(p: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+def tau_rows(p: int, digits: np.ndarray, prec: int) -> np.ndarray:
+    """tau of a block of exponents: one coefficient row per digit row.
+
+    digits is an int64 array of shape (rows, needed) with entries in
+    [0, p), needed = min_digit_precision(p, prec) and p a validated prime;
+    nothing is checked.  Row r of the (rows, prec) int64 result holds the
+    coefficients of (1 - x)^alpha mod x^prec, reduced into [0, p), for the
+    exponent alpha with digits digits[r].
+    """
+    fact, inv_fact = _factorials(p)
+    # factors[r, j, k] = (-1)^k C(d_rj, k) mod p, the coefficients of
+    # (1 - y)^(d_rj); no exponent below prec has a digit >= prec
+    width = min(p, prec)
+    digits = digits[:, :, None]
+    rest = digits - np.arange(width)
+    # rest % p keeps the indices of the masked entries k > d_rj in range
+    factors = fact[digits] * inv_fact[:width] % p * inv_fact[rest % p] % p
+    factors[rest < 0] = 0
+    factors[:, :, 1::2] = -factors[:, :, 1::2] % p
+    # before digit j, coeffs[r] holds the coefficients of x^m for m < p^j;
+    # the outer product puts factor[k] * coeffs[r, m] at k * p^j + m
+    rows = digits.shape[0]
+    coeffs = np.ones((rows, 1), dtype=np.int64)
+    for j in range(factors.shape[1]):
+        top = -(-prec // coeffs.shape[1])  # the digits k with k * p^j < prec
+        outer = factors[:, j, :top, None] * coeffs[:, None, :]
+        coeffs = outer.reshape(rows, outer.shape[1] * outer.shape[2])[:, :prec] % p
+    return coeffs
+
+
 def tau(alpha: PadicInt, prec: int) -> TruncSeries:
     """(1 - x)^alpha in F_p[x]/(x^prec) for a p-adic exponent alpha."""
     p = alpha.p
@@ -93,23 +126,7 @@ def tau(alpha: PadicInt, prec: int) -> TruncSeries:
             f"digit precision {alpha.prec} too small: series precision "
             f"{prec} needs at least {needed} base-{p} digits"
         )
-    fact, inv_fact = _factorials(p)
-    # rows[j, k] = (-1)^k C(d_j, k) mod p, the coefficients of (1 - y)^(d_j);
-    # no exponent below prec has a digit >= prec
-    width = min(p, prec)
-    digits = alpha.digits[:needed, None]
-    rest = digits - np.arange(width)
-    # rest % p keeps the indices of the masked entries k > d_j in range
-    rows = fact[digits] * inv_fact[:width] % p * inv_fact[rest % p] % p
-    rows[rest < 0] = 0
-    rows[:, 1::2] = -rows[:, 1::2] % p
-    # before row j, coeffs holds the coefficients of x^m for m < p^j; the
-    # outer product puts row[k] * coeffs[r] at m = k * p^j + r
-    coeffs = np.ones(1, dtype=np.int64)
-    for row in rows:
-        top = -(-prec // coeffs.size)  # the digits k with k * p^j < prec
-        coeffs = np.multiply.outer(row[:top], coeffs).ravel()[:prec] % p
-    return TruncSeries._reduced(p, coeffs)
+    return TruncSeries._reduced(p, tau_rows(p, alpha.digits[None, :needed], prec)[0])
 
 
 def times_sigma_x(r: np.ndarray, p: int) -> None:

@@ -129,6 +129,13 @@ def test_every_integer_dtype_matches_python_ints(case, typed):
         lambda: build_lamplighter(2, 1, 2.0),
         lambda: census_ratio_set(2, [1], [1], 1.0, 2),
         lambda: census_ratio_set(2, [1], [1], 1, 2.0),
+        lambda: TruncSeries(5, [1, 2]).extend(9.0),
+        lambda: TruncSeries(5, [1, 2]).extend("9"),
+        lambda: TruncSeries(5, [1, 2]).shift_up(1.0),
+        lambda: TruncSeries(5, [1, 2]).shift_up(True),
+        lambda: TruncSeries(5, [0, 2]).shift_down(1.0),
+        lambda: TruncSeries(5, [0, 2]).shift_down(True),
+        lambda: PadicInt(3, [1, 2]).truncate(2.0),
     ],
 )
 def test_non_integral_scalar_argument_is_refused(build):

@@ -1,10 +1,13 @@
 """Report sections against independent routes to the same rows."""
 
+import random
+
 import numpy as np
 import pytest
 
-from procyclic import TruncSeries, fpx
-from procyclic.reporting import section_frobenius
+from procyclic import PadicInt, TruncSeries, fpx, reporting
+from procyclic.reporting import section_frobenius, section_tau_soundness
+from procyclic.taumap import min_digit_precision, tau
 
 
 def _frobenius_rows_from_scratch(primes, i_max, prec):
@@ -40,3 +43,61 @@ def test_frobenius_fails_when_the_sparse_kernel_drops_a_term(p, monkeypatch):
 
     monkeypatch.setattr(fpx, "_mul_small_support", drop_top_term)
     assert section_frobenius(primes=(p,)).status == "fail"
+
+
+def _tau_soundness_rows_one_call_each(primes, prec, trials, seed):
+    """The tau-soundness rows with one scalar tau call per exponent."""
+    rows = []
+    rng = random.Random(seed)
+    for p in primes:
+        k = min_digit_precision(p, prec)
+        geo = tau(PadicInt.from_int(-1, p, k), prec) == TruncSeries.one_minus_x(p, prec).invert()
+        hom = 0
+        for _ in range(trials):
+            a = PadicInt(p, [rng.randrange(p) for _ in range(k)])
+            b = PadicInt(p, [rng.randrange(p) for _ in range(k)])
+            hom += tau(a + b, prec) == tau(a, prec) * tau(b, prec)
+        cont = 0
+        for _ in range(trials):
+            depth = rng.randrange(1, k + 1)
+            a = PadicInt(p, [rng.randrange(p) for _ in range(k)])
+            b = PadicInt(p, list(a.digits[:depth]) + [rng.randrange(p) for _ in range(k - depth)])
+            cut = min(p**depth, prec)
+            cont += tau(a, prec).truncate(cut) == tau(b, prec).truncate(cut)
+        rows.append(
+            {
+                "p": p,
+                "geometric": geo,
+                "hom_trials": f"{hom}/{trials}",
+                "continuity_trials": f"{cont}/{trials}",
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "seed, primes, prec, trials",
+    [(1, (2, 3, 5), 256, 100), (101, (2, 3, 5), 256, 100), (1, (2, 7, 65521), 100, 33)],
+)
+def test_tau_soundness_blocks_match_one_call_per_exponent(seed, primes, prec, trials):
+    section = section_tau_soundness(primes=primes, prec=prec, trials=trials, seed=seed)
+    assert section.rows == _tau_soundness_rows_one_call_each(primes, prec, trials, seed)
+    assert section.status == "pass"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tau_soundness_fails_when_tau_is_not_a_homomorphism(p, monkeypatch):
+    # x^1 + 1 in every image: tau(a + b) gains x, tau(a) * tau(b) gains 2x.
+    # Dropping the top digit would not do: that map is still a homomorphism.
+    closed_form = reporting.tau_rows
+
+    def plus_x(q, digits, prec):
+        rows = closed_form(q, digits, prec)
+        rows[:, 1] = (rows[:, 1] + 1) % q
+        return rows
+
+    monkeypatch.setattr(reporting, "tau_rows", plus_x)
+    section = section_tau_soundness(primes=(p,))
+    [row] = section.rows
+    assert section.status == "fail"
+    assert int(row["hom_trials"].split("/")[0]) < 100

@@ -137,6 +137,22 @@ def test_tau_matches_product_form(p):
             assert got.coeffs.min() >= 0 and got.coeffs.max() < p
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_tau_rows_match_scalar_tau_and_product_form(p):
+    rng = random.Random(p)
+    for prec in sorted({1, 2, p - 1, p, p + 1, 256, 1000}):
+        k = min_digit_precision(p, prec)
+        block = [[0] * k, [p - 1] * k] + [[rng.randrange(p) for _ in range(k)] for _ in range(4)]
+        got = taumap.tau_rows(p, np.array(block, dtype=np.int64), prec)
+        assert got.shape == (len(block), prec) and got.dtype == np.int64
+        for digits, row in zip(block, got):
+            alpha = PadicInt(p, digits, max(k, 1))
+            assert np.array_equal(row, tau(alpha, prec).coeffs), (p, prec, digits)
+            assert np.array_equal(row, tau_product_form(alpha, prec).coeffs), (p, prec, digits)
+        empty = taumap.tau_rows(p, np.zeros((0, k), dtype=np.int64), prec)
+        assert empty.shape == (0, prec) and empty.dtype == np.int64
+
+
 def test_tau_cache_does_not_grow_with_precision():
     caches = [f for f in vars(taumap).values() if hasattr(f, "cache_info")]
     alpha = PadicInt.from_int(-1, 3, min_digit_precision(3, 1 << 16))
