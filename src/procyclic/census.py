@@ -175,6 +175,7 @@ def _power_blocks(p: int, prec: int):
 def enum_A(p: int, i: int) -> CensusSet:
     """All powers (1-x)^m mod x^(p^i); exactly p^i distinct elements."""
     p = validate_prime(p)
+    i = exact_int(i, "census level")
     if i < 1:
         raise UsageError("census level must be >= 1")
     prec = p**i

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .census import density_gap, enum_A
@@ -318,7 +319,12 @@ def _cmd_report(args):
 # -- argument wiring --------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (about 2 ms a build).
+
+    parse_args leaves the parser unchanged, so every main call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="procyclic",
         description="Verification toolkit for truncated series algebra, census "

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError
+from .errors import ResourceLimitError, UsageError, exact_int
 from .fpx import validate_prime
 from .linfp import FpMatrix, kernel_basis, rank
 from .taumap import min_digit_precision, times_sigma_x
@@ -140,6 +140,7 @@ def check_module_dim(i: int) -> None:
 
 def regular_module(p: int, i: int) -> FpCModule:
     """F_p[x]/(x^i) with the generator acting as multiplication by 1 - x."""
+    i = exact_int(i, "module dimension")
     check_module_dim(i)
     t = np.zeros((i, i), dtype=np.int64)
     for j in range(i):
@@ -150,7 +151,7 @@ def regular_module(p: int, i: int) -> FpCModule:
 
 
 def trivial_module(p: int, dim: int) -> FpCModule:
-    return FpCModule(p, FpMatrix.identity(p, dim))
+    return FpCModule(p, FpMatrix.identity(p, exact_int(dim, "module dimension")))
 
 
 def regular_antipode(p: int, i: int) -> ModuleAntipode:
@@ -213,6 +214,19 @@ class AntipodeCheck:
     tensor_dim: int
 
 
+def _id_tensor_images(relations: FpMatrix, antipode: ModuleAntipode) -> np.ndarray:
+    """Rows of relations mapped by id (x) S, reduced mod p.
+
+    A row-major tensor coordinate vector is a d x d matrix V, and id (x) S
+    sends it to V S^T, so all rows go through one batched d x d product
+    instead of a d^2 x d^2 Kronecker matrix.  Exact in int64: each entry
+    sums d products below (p-1)^2.
+    """
+    s = antipode.matrix.array
+    d = s.shape[0]
+    return ((relations.array.reshape(-1, d, d) @ s.T) % relations.p).reshape(-1, d * d)
+
+
 def antipode_iso_check(m: FpCModule, antipode) -> AntipodeCheck:
     """Certify that id (x) S maps coinvariant relations onto tensor relations.
 
@@ -228,9 +242,9 @@ def antipode_iso_check(m: FpCModule, antipode) -> AntipodeCheck:
         raise UsageError("antipode was built for a different module")
     coinv = diagonal_coinvariants(m, m)
     tensor = tensor_over_groupring(m, m)
-    phi = FpMatrix(m.p, np.kron(np.eye(m.dim, dtype=np.int64), antipode.matrix.array))
-    images = coinv.relations @ phi.transpose()
-    stacked = FpMatrix(m.p, np.vstack([tensor.relations.array, images.array]))
+    stacked = FpMatrix(
+        m.p, np.vstack([tensor.relations.array, _id_tensor_images(coinv.relations, antipode)])
+    )
     # tensor.ambient - tensor.dim is rank(tensor.relations), already taken
     carried = rank(stacked) == tensor.ambient - tensor.dim
     bij = carried and coinv.dim == tensor.dim

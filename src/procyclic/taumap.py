@@ -60,6 +60,7 @@ def min_digit_precision(p: int, prec: int) -> int:
     This is the count of i with p^i < prec, i.e. ceil(log_p(prec)).
     """
     p = validate_prime(p)  # p < 2 would never reach prec
+    prec = exact_int(prec, "precision")
     k = 0
     q = 1
     while q < prec:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from procyclic.cli import main
+from procyclic.cli import build_parser, main
 from procyclic.reporting import ReportDocument, Section
 
 
@@ -401,3 +401,13 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "procyclic" in proc.stdout
+
+
+def test_shared_parser_starts_every_parse_afresh():
+    # main builds the parser once; an appended option must not carry over
+    parser = build_parser()
+    assert build_parser() is parser
+    for _ in range(2):
+        args = parser.parse_args(["report", "--section", "tower"])
+        assert args.section == ["tower"]
+    assert parser.parse_args(["report"]).section is None

@@ -22,7 +22,7 @@ from procyclic import (
     trivial_module,
     z_action_homology,
 )
-from procyclic.cycmod import FpCModule, ModuleAntipode
+from procyclic.cycmod import FpCModule, ModuleAntipode, _id_tensor_images
 from procyclic.linfp import rank, rref
 
 
@@ -214,6 +214,17 @@ def test_antipode_twist_identity_holds():
         s = regular_antipode(p, i).matrix.array
         t = regular_module(p, i).action.array
         assert np.array_equal((t @ s @ t) % p, s)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("i", (1, 2, 5, 8))
+def test_batched_antipode_images_match_the_kronecker_route(p, i):
+    m = regular_module(p, i)
+    antipode = regular_antipode(p, i)
+    relations = diagonal_coinvariants(m, m).relations
+    phi = FpMatrix(p, np.kron(np.eye(i, dtype=np.int64), antipode.matrix.array))
+    expected = (relations @ phi.transpose()).array
+    assert np.array_equal(_id_tensor_images(relations, antipode), expected)
 
 
 @pytest.mark.parametrize("p,i", [(2, 3), (3, 3)])

@@ -24,10 +24,14 @@ from procyclic import (
     census_ratio_set,
     cyclic_group,
     elementary_abelian,
+    enum_A,
     parse_series,
+    regular_module,
     tau,
+    trivial_module,
 )
 from procyclic.errors import UsageError
+from procyclic.taumap import min_digit_precision
 
 Z2 = cyclic_group(2, 1)
 
@@ -136,6 +140,11 @@ def test_every_integer_dtype_matches_python_ints(case, typed):
         lambda: TruncSeries(5, [0, 2]).shift_down(1.0),
         lambda: TruncSeries(5, [0, 2]).shift_down(True),
         lambda: PadicInt(3, [1, 2]).truncate(2.0),
+        lambda: min_digit_precision(2, 2.5),
+        lambda: min_digit_precision(2, True),
+        lambda: enum_A(2, 2.0),
+        lambda: regular_module(2, 2.0),
+        lambda: trivial_module(2, 2.0),
     ],
 )
 def test_non_integral_scalar_argument_is_refused(build):

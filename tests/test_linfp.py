@@ -7,12 +7,14 @@ import pytest
 
 from procyclic import (
     FpMatrix,
+    ResourceLimitError,
     SparseRankAccumulator,
     UsageError,
     kernel_basis,
     rank,
 )
-from procyclic.linfp import rref
+from procyclic import linfp
+from procyclic.linfp import BLOCK_ROWS, EXACT_FLOAT, _check_float_rank, _mod_exact, rref
 
 
 def rank_division_free(rows, p):
@@ -139,6 +141,124 @@ def test_rank_of_wide_sparse_matrix_allocates_by_rank():
     assert rank(FpMatrix(3, arr)) == 10
     arr[9] = (arr[3] + 2 * arr[5]) % 3
     assert rank(FpMatrix(3, arr)) == 9
+
+
+def row_path_rank(arr, p):
+    acc = SparseRankAccumulator(arr.shape[1], p)
+    for row in arr:
+        nz = np.nonzero(row)[0]
+        acc.add_pairs(zip(nz.tolist(), row[nz].tolist()))
+    return acc.rank
+
+
+def deficient_matrix(rng, p, rows, cols, inner):
+    """rows x cols of rank at most inner, with duplicate and zero rows mixed in."""
+    arr = rng.integers(0, p, size=(rows, inner)) @ rng.integers(0, p, size=(inner, cols)) % p
+    if rows >= 3:
+        arr[rng.integers(rows)] = arr[rng.integers(rows)]
+        arr[rng.integers(rows)] = 0
+    return arr
+
+
+B = BLOCK_ROWS
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 65521))
+@pytest.mark.parametrize("rows", (0, 1, B - 1, B, B + 1, 3 * B + 5))
+def test_block_path_matches_rref_and_row_path(p, rows):
+    rng = np.random.default_rng(rows * 1000 + p)
+    cases = [
+        rng.integers(0, p, size=(rows, 37)),  # full rank where rows allow
+        deficient_matrix(rng, p, rows, 37, 5),  # rank 5 across several blocks
+        deficient_matrix(rng, p, rows, 70, 23),
+        np.zeros((rows, 12), dtype=np.int64),
+        np.repeat(rng.integers(0, p, size=(1, 12)), rows, axis=0),  # one row, repeated
+    ]
+    for arr in cases:
+        expected = len(rref(FpMatrix(p, arr))[1])
+        assert rank(FpMatrix(p, arr)) == expected
+        assert row_path_rank(arr, p) == expected
+
+
+def test_block_and_row_entries_share_one_basis():
+    # rows added one at a time and then in blocks reduce against each other
+    rng = np.random.default_rng(59)
+    for p in (3, 65521):
+        arr = deficient_matrix(rng, p, 3 * B + 5, 50, 30)
+        acc = SparseRankAccumulator(50, p)
+        for row in arr[:9]:
+            nz = np.nonzero(row)[0]
+            acc.add_pairs(zip(nz.tolist(), row[nz].tolist()))
+        added = sum(acc.add_block(arr[lo : lo + B]) for lo in range(9, len(arr) - 3, B))
+        assert not acc.add_pairs((c, v) for c, v in enumerate(arr[0]))
+        assert acc.rank == len(rref(FpMatrix(p, arr[:-3]))[1]) == added + row_path_rank(arr[:9], p)
+
+
+def test_add_block_refuses_f2():
+    with pytest.raises(UsageError):
+        SparseRankAccumulator(4, 2).add_block(np.eye(4, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 65521))
+def test_float_reduction_matches_int64_mod(p):
+    # the domain edge |x| = 2^53 - 2p, and multiples of p near it; at p = 5,
+    # x = -(2^53 - 1) is outside the domain: q * p = -(2^53 + 4) rounds
+    top = EXACT_FLOAT - 2 * p
+    k = top // p
+    xs = [top, -top, top - 1, 1 - top, 0, 1, -1, p, -p]
+    for j in (k - 2, k - 1, k):
+        xs += [j * p, j * p + 1, j * p - 1, -j * p, -j * p + 1, -j * p - 1]
+    ints = np.array([x for x in xs if abs(x) <= top], dtype=np.int64)
+    got = _mod_exact(ints.astype(np.float64), p)
+    assert np.array_equal(got.astype(np.int64), ints % p)
+    assert ((got >= 0) & (got < p)).all()
+
+
+def test_float_rank_bound_at_65521():
+    # 2098176 * 65520^2 + 2 * 65521 <= 2^53 < 2098177 * 65520^2
+    _check_float_rank(2_098_176, 65521)
+    with pytest.raises(ResourceLimitError):
+        _check_float_rank(2_098_177, 65521)
+    # at p = 3 the 2p margin of the reduction step decides: 2^51 * 4 = 2^53
+    _check_float_rank(2**51 - 2, 3)
+    with pytest.raises(ResourceLimitError):
+        _check_float_rank(2**51, 3)
+
+
+def shrink_float_bound(monkeypatch, p, rank):
+    """Make rank the largest float64-exact rank at p, as 2098176 is at 65521."""
+    monkeypatch.setattr(linfp, "EXACT_FLOAT", rank * (p - 1) ** 2 + 2 * p)
+    _check_float_rank(rank, p)
+    with pytest.raises(ResourceLimitError):
+        _check_float_rank(rank + 1, p)
+
+
+def test_row_path_stops_at_the_float_bound(monkeypatch):
+    p, n = 65521, 40
+    shrink_float_bound(monkeypatch, p, 20)
+    acc = SparseRankAccumulator(n, p)
+    for j in range(20):
+        assert acc.add_pairs([(j, p - 1), (j + 1, 5)])
+    with pytest.raises(ResourceLimitError):
+        acc.add_pairs([(30, 3)])
+    assert acc.rank == 20
+    assert not acc.add_pairs([(0, 1), (1, 5 * pow(p - 1, -1, p))])
+
+
+def test_block_path_stops_at_the_float_bound_before_merging(monkeypatch):
+    p, n = 65521, 3 * B + 5
+    shrink_float_bound(monkeypatch, p, 2 * B + 3)
+    eye = np.eye(n, dtype=np.int64) * (p - 1)
+    acc = SparseRankAccumulator(n, p)
+    assert acc.add_block(eye[:B]) == acc.add_block(eye[B : 2 * B]) == B
+    # the next block would take the rank from 2B to 3B > 2B + 3
+    with pytest.raises(ResourceLimitError):
+        acc.add_block(eye[2 * B : 3 * B])
+    assert acc.rank == 2 * B
+    assert acc.add_block(eye[2 * B : 2 * B + 3]) == 3
+    with pytest.raises(ResourceLimitError):
+        rank(FpMatrix(p, eye[: 2 * B + 4]))
+    assert rank(FpMatrix(p, eye[: 2 * B + 3])) == 2 * B + 3
 
 
 def test_add_bits_requires_f2():
