@@ -233,7 +233,8 @@ class SparseRankAccumulator:
     2. the single-row path eliminates inside the block, on a local
        accumulator of at most one block's rank;
     3. one GEMM, old - old[:, new_pivcols] @ new, back-reduces the old
-       basis at the new pivot columns, and the new rows are appended.
+       rows that are nonzero at the new pivot columns, and the new rows
+       are appended.
 
     A product sums one term below (p-1)^2 per pivot, so it is exact while
     rank * (p-1)^2 + 2p <= 2^53; growing the rank past that bound raises
@@ -296,9 +297,9 @@ class SparseRankAccumulator:
         if self.rank:
             old = self._basis[: self.rank]
             hit = old[:, local._pivcols]
-            if hit.any():
-                old -= hit @ new
-                _mod_exact(old, p)
+            rows = np.flatnonzero(hit.any(axis=1))  # only these rows change
+            if rows.size:
+                old[rows] = _mod_exact(old[rows] - hit[rows] @ new, p)
         self._reserve(self.rank + k)
         self._basis[self.rank : self.rank + k] = new
         self._pivcols += local._pivcols
