@@ -18,14 +18,14 @@ row-major: basis pair (i, j) sits at index i * dim(M') + j.
 
 Each quotient keeps its raw relation rows, and its dimension is the
 ambient dimension minus their rank.  No basis of either quotient is
-built: every number here is a rank from linfp.rank.
+built: every number here is a rank from linfp's one elimination engine.
 
 The antipode of a module is an invertible S with S T = T^(-1) S; mapping
 m (x) m' to m (x) S m' carries the coinvariant relations into the tensor
 relations, so equality of the two quotient dimensions upgrades to an
-explicit bijection.  antipode_iso_check certifies the inclusion as a rank
-equality: appending the images to the tensor relations leaves the rank
-unchanged.
+explicit bijection.  antipode_iso_check certifies the inclusion in one
+accumulator: it takes the tensor relations, whose rank gives the tensor
+dimension, and then the images add no pivot.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError, exact_int
 from .fpx import validate_prime
-from .linfp import FpMatrix, kernel_basis, rank
+from .linfp import FpMatrix, SparseRankAccumulator, kernel_basis, rank
 from .taumap import min_digit_precision, times_sigma_x
 
 __all__ = [
@@ -199,12 +199,17 @@ def diagonal_coinvariants(m: FpCModule, m2: FpCModule) -> QuotientDescription:
     return _quotient_by(m, m2, rel)
 
 
+def _tensor_relations(m: FpCModule, m2: FpCModule) -> np.ndarray:
+    """T m (x) m' - m (x) T'm' for the basis pairs, one relation per column."""
+    left = np.kron(m.action.array, np.eye(m2.dim, dtype=np.int64))
+    right = np.kron(np.eye(m.dim, dtype=np.int64), m2.action.array)
+    return (left - right) % m.p
+
+
 def tensor_over_groupring(m: FpCModule, m2: FpCModule) -> QuotientDescription:
     """Quotient of M (x) M' by the span of T m (x) m' - m (x) T'm'."""
     _check_pair(m, m2)
-    left = np.kron(m.action.array, np.eye(m2.dim, dtype=np.int64))
-    right = np.kron(np.eye(m.dim, dtype=np.int64), m2.action.array)
-    return _quotient_by(m, m2, (left - right) % m.p)
+    return _quotient_by(m, m2, _tensor_relations(m, m2))
 
 
 @dataclass(frozen=True)
@@ -230,28 +235,25 @@ def _id_tensor_images(relations: FpMatrix, antipode: ModuleAntipode) -> np.ndarr
 def antipode_iso_check(m: FpCModule, antipode) -> AntipodeCheck:
     """Certify that id (x) S maps coinvariant relations onto tensor relations.
 
-    Accepts a ModuleAntipode or a raw matrix (validated here).  The images
-    lie in the tensor relation span iff stacking them under the tensor
-    relations leaves the rank unchanged.  Since S is invertible, that
-    inclusion plus equal quotient dimensions means the induced map of
-    quotients is a bijection.
+    Accepts a ModuleAntipode or a raw matrix (validated here).  One
+    accumulator takes the tensor relations, and its rank gives the tensor
+    dimension; the images lie in the tensor relation span iff they then
+    add no pivot.  Since S is invertible, that inclusion plus equal
+    quotient dimensions means the induced map of quotients is a bijection.
     """
     if not isinstance(antipode, ModuleAntipode):
         antipode = ModuleAntipode(m, antipode)
     if antipode.module is not m and antipode.module.action != m.action:
         raise UsageError("antipode was built for a different module")
     coinv = diagonal_coinvariants(m, m)
-    tensor = tensor_over_groupring(m, m)
-    stacked = FpMatrix(
-        m.p, np.vstack([tensor.relations.array, _id_tensor_images(coinv.relations, antipode)])
-    )
-    # tensor.ambient - tensor.dim is rank(tensor.relations), already taken
-    carried = rank(stacked) == tensor.ambient - tensor.dim
-    bij = carried and coinv.dim == tensor.dim
+    acc = SparseRankAccumulator(coinv.ambient, m.p)
+    acc.add_rows(_tensor_relations(m, m).T)
+    tensor_dim = coinv.ambient - acc.rank
+    carried = acc.add_rows(_id_tensor_images(coinv.relations, antipode)) == 0
     return AntipodeCheck(
-        bijective=bij,
+        bijective=carried and coinv.dim == tensor_dim,
         coinvariant_dim=coinv.dim,
-        tensor_dim=tensor.dim,
+        tensor_dim=tensor_dim,
     )
 
 

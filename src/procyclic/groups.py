@@ -238,26 +238,19 @@ class FiniteGroup:
 
     def quotient(self, h_elements) -> tuple["FiniteGroup", "GroupHom"]:
         """Quotient by a normal subgroup, with the projection homomorphism."""
-        h = frozenset(self._index_set(h_elements))
+        h = self._index_set(h_elements)
         if not self.is_normal(h):
             raise UsageError("can only quotient by a normal subgroup")
-        coset_of: dict[int, int] = {}
+        # each coset aH is labelled by its first element a, in index order
+        coset_of = np.full(self.order, -1, dtype=np.int64)
         reps: list[int] = []
         for a in range(self.order):
-            if a in coset_of:
-                continue
-            idx = len(reps)
-            reps.append(a)
-            for x in h:
-                coset_of[self.mul(a, x)] = idx
-        q = len(reps)
-        table = np.zeros((q, q), dtype=np.uint16)
-        for ia, a in enumerate(reps):
-            for ib, b in enumerate(reps):
-                table[ia, ib] = coset_of[self.mul(a, b)]
+            if coset_of[a] < 0:
+                coset_of[self.table[a, h]] = len(reps)
+                reps.append(a)
+        table = coset_of[self.table[np.ix_(reps, reps)]]
         quotient = FiniteGroup(self.p, table, generator_names=self.generator_names)
-        images = np.array([coset_of[a] for a in range(self.order)], dtype=np.uint16)
-        return quotient, GroupHom(self, quotient, images)
+        return quotient, GroupHom(self, quotient, coset_of)
 
     # -- serialization ----------------------------------------------------
 

@@ -37,8 +37,9 @@ linfp.rank, and d3 (never materialized) from a single row generator that
 bit-packs rows over F_2 and emits (column, value) pairs for odd p.  d3
 has (m-1)^3 rows of at most four entries each, so order 64 is the
 practical ceiling (a quarter-million rows) and is also the default
-budget, which both engines share.  Only the cycle basis of the five-term
-check comes from the dense rref, through linfp.kernel_basis.
+budget, which both engines share.  Two explicit bases come from the
+dense rref, through linfp.kernel_basis: minres_h2's K and the cycle basis
+of the five-term check, whose images enter the accumulator as one array.
 
 The five-term check compares two independent computations attached to a
 normal subgroup H of G: the cokernel of the induced map
@@ -208,22 +209,12 @@ class FiveTermReport:
     equal: bool
 
 
-def _chain_map_c2(hom: GroupHom, nontrivial, pos, q_nontrivial, q_pos) -> np.ndarray:
+def _chain_map_c2(hom: GroupHom, nontrivial, q_pos) -> np.ndarray:
     """Index map for f# on C_2: basis t -> target index, or -1 if degenerate."""
-    m1 = len(nontrivial)
-    q_e = hom.target.identity
-    mapping = np.full(m1 * m1, -1, dtype=np.int64)
-    qm1 = len(q_nontrivial)
-    for a, g in enumerate(nontrivial):
-        fg = hom(g)
-        if fg == q_e:
-            continue
-        for b, h in enumerate(nontrivial):
-            fh = hom(h)
-            if fh == q_e:
-                continue
-            mapping[a * m1 + b] = q_pos[fg] * qm1 + q_pos[fh]
-    return mapping
+    # position of f(g) among the nontrivial targets, -1 where f(g) = e
+    img = np.array([q_pos.get(hom(g), -1) for g in nontrivial], dtype=np.int64)
+    pairs = img[:, None] * len(q_pos) + img
+    return np.where((img[:, None] >= 0) & (img >= 0), pairs, -1).reshape(-1)
 
 
 def five_term_check(group: FiniteGroup, h_elements) -> FiveTermReport:
@@ -249,22 +240,19 @@ def five_term_check(group: FiniteGroup, h_elements) -> FiveTermReport:
     if q_cols == 0:
         return FiveTermReport(0, hopf_quotient(group, h_elements), True)
 
-    # cycles of G pushed into C_2 of the quotient
-    d2_g = _boundary2_matrix(group, nontrivial, pos)
-    cycles = kernel_basis(d2_g)
-    mapping = _chain_map_c2(hom, nontrivial, pos, q_nontrivial, q_pos)
-    keep = mapping >= 0
+    # cycles of G pushed into C_2 of the quotient, one row per cycle; a
+    # kernel_basis row has at most rank(d2) + 1 nonzeros, so only those move
+    cycles = kernel_basis(_boundary2_matrix(group, nontrivial, pos)).array
+    mapping = _chain_map_c2(hom, nontrivial, q_pos)
+    rows, cols = np.nonzero(cycles)
+    kept = mapping[cols] >= 0
+    rows, cols = rows[kept], cols[kept]
+    images = np.zeros((len(cycles), q_cols), dtype=np.int64)
+    np.add.at(images, (rows, mapping[cols]), cycles[rows, cols])
+    images %= p
 
     acc = SparseRankAccumulator(q_cols, p)
-    for v in cycles.array:
-        nz = keep & (v != 0)
-        if not nz.any():
-            continue
-        image = np.zeros(q_cols, dtype=np.int64)
-        np.add.at(image, mapping[nz], v[nz])
-        image %= p
-        cols = np.nonzero(image)[0]
-        acc.add_pairs(zip(cols.tolist(), image[cols].tolist()))
+    acc.add_rows(images)
 
     # adjoin the boundaries of the quotient
     _stream_d3(quotient, q_nontrivial, q_pos, acc)

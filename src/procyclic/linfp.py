@@ -7,13 +7,15 @@ dimension is the ambient dimension minus the rank of the relation rows,
 and a span inclusion is an equality of two ranks.
 
 Every rank is taken by one engine, SparseRankAccumulator, and only its
-pivot rows are kept.  Over F_2 a row is a bit-packed Python integer and
-each reduction is one word-parallel xor.  For odd p the pivot rows are
-kept inter-reduced in float64, and rank feeds the nonzero rows in blocks
-of BLOCK_ROWS (the blocked, delayed-reduction elimination of Dumas,
-Giorgi & Pernet, ACM TOMS 35(3), 2008): one BLAS product reduces a whole
-block against the basis, the row path eliminates inside the block, and a
-second product back-reduces the basis at the block's new pivots.  Each
+pivot rows are kept.  A whole array enters it through add_rows, for
+every p; rows born one at a time enter through add_pairs or add_bits.
+Over F_2 a row is a bit-packed Python integer and each reduction is one
+word-parallel xor.  For odd p the pivot rows are kept inter-reduced in
+float64, and add_rows feeds the nonzero rows in blocks of BLOCK_ROWS
+(the blocked, delayed-reduction elimination of Dumas, Giorgi & Pernet,
+ACM TOMS 35(3), 2008): one BLAS product reduces a whole block against
+the basis, the row path eliminates inside the block, and a second
+product back-reduces the basis at the block's new pivots.  Each
 product sums one term below (p-1)^2 per pivot, so every integer it forms
 has magnitude below rank * (p-1)^2, exact in float64 while that stays
 below 2^53; the bound (less 2p, the margin of the reduction step) is
@@ -176,21 +178,9 @@ def rref(matrix: FpMatrix) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(matrix: FpMatrix) -> int:
-    """Row rank over F_p: the nonzero rows stream through SparseRankAccumulator.
-
-    Over F_2 each row goes in bit-packed; for odd p the stored rows, already
-    reduced mod p, go in blocks of BLOCK_ROWS.
-    """
+    """Row rank over F_p: the rows stream through SparseRankAccumulator.add_rows."""
     acc = SparseRankAccumulator(matrix.cols, matrix.p)
-    arr = matrix.array
-    nonzero_rows = np.flatnonzero(arr.any(axis=1))
-    if matrix.p == 2:
-        packed = np.packbits(arr != 0, axis=1, bitorder="little")
-        for i in nonzero_rows:
-            acc.add_bits(int.from_bytes(packed[i].tobytes(), "little"))
-    else:
-        for lo in range(0, nonzero_rows.size, BLOCK_ROWS):
-            acc.add_block(arr[nonzero_rows[lo : lo + BLOCK_ROWS]])
+    acc.add_rows(matrix.array)
     return acc.rank
 
 
@@ -215,7 +205,7 @@ def kernel_basis(matrix: FpMatrix) -> FpMatrix:
 
 
 class SparseRankAccumulator:
-    """Streaming rank computation for rows that arrive one or a block at a time.
+    """Streaming rank computation for rows that arrive one or many at a time.
 
     Rows are reduced against the pivots collected so far and either vanish
     or contribute a new pivot.  Only the pivot rows are retained, so memory
@@ -225,8 +215,8 @@ class SparseRankAccumulator:
     xor.  For odd p the pivot rows are kept fully inter-reduced in float64
     (zero at every other row's pivot column, one at their own), so that
     reductions run as BLAS products of integers.  A single row (add_pairs)
-    is finished by one gather-and-subtract pass.  A block of rows
-    (add_block) takes three steps:
+    is finished by one gather-and-subtract pass.  An array (add_rows) goes
+    in blocks of BLOCK_ROWS rows, and a block takes three steps:
 
     1. one GEMM, block[:, pivcols] @ basis, reduces the whole block against
        the basis;
@@ -271,14 +261,27 @@ class SparseRankAccumulator:
             raise UsageError("bit-packed rows only make sense over F_2")
         return self._add_bits(row)
 
-    def add_block(self, block: np.ndarray) -> int:
-        """Add the rows of an int64 array with entries in [0, p) (odd p only).
+    def add_rows(self, rows: np.ndarray) -> int:
+        """Add the rows of a 2-D int64 array with entries in [0, p).
 
-        Returns how many pivots the block added.
+        Zero rows are skipped.  Over F_2 each row goes bit-packed to
+        add_bits; for odd p the rows go to the block step BLOCK_ROWS at a
+        time.  Returns how many pivots the rows added.
         """
+        before = self.rank
+        nonzero = np.flatnonzero(rows.any(axis=1))
+        if self.p == 2:
+            packed = np.packbits(rows != 0, axis=1, bitorder="little")
+            for i in nonzero:
+                self.add_bits(int.from_bytes(packed[i].tobytes(), "little"))
+        else:
+            for lo in range(0, nonzero.size, BLOCK_ROWS):
+                self._add_block(rows[nonzero[lo : lo + BLOCK_ROWS]])
+        return self.rank - before
+
+    def _add_block(self, block: np.ndarray) -> None:
+        """Add a block of rows, odd p, by the three steps of the class docstring."""
         p = self.p
-        if p == 2:
-            raise UsageError("blocks of rows are taken for odd p only")
         block = block.astype(np.float64)
         if self.rank:
             coeffs = block[:, self._pivcols]
@@ -291,7 +294,7 @@ class SparseRankAccumulator:
                 local._add_dense(row)
         k = local.rank
         if k == 0:
-            return 0
+            return
         _check_float_rank(self.rank + k, p)
         new = local._basis[:k]
         if self.rank:
@@ -304,7 +307,6 @@ class SparseRankAccumulator:
         self._basis[self.rank : self.rank + k] = new
         self._pivcols += local._pivcols
         self.rank += k
-        return k
 
     def _add_bits(self, row: int) -> bool:
         pivots = self._pivots

@@ -1,0 +1,43 @@
+"""The benchmark's tracer still finds every name it wraps in the package.
+
+bench/tracing.py patches procyclic functions and methods by name.  A rename
+or deletion of one of them would otherwise surface only when the benchmark
+runs; here it fails the test suite.  The tracer is loaded read-only from
+its file (no bytecode is written under bench/) and always uninstalled.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import procyclic
+import procyclic.cli  # noqa: F401  (the tracer wraps cli.main)
+from procyclic import FpMatrix, rank
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_tracer_installs_and_counts_accumulator_rows():
+    original_rank = procyclic.linfp.rank
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        # F_2 rows of a whole matrix reach the wrapped add_bits
+        assert rank(FpMatrix(2, np.eye(3, dtype=np.int64))) == 3
+        assert tracer.counts["linfp.acc.rows"] == tracer.counts["linfp.acc.useful"] == 3
+    finally:
+        tracer.uninstall()
+    assert procyclic.linfp.rank is original_rank

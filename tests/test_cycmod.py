@@ -22,6 +22,7 @@ from procyclic import (
     trivial_module,
     z_action_homology,
 )
+from procyclic import cycmod
 from procyclic.cycmod import FpCModule, ModuleAntipode, _id_tensor_images
 from procyclic.linfp import rank, rref
 
@@ -225,6 +226,41 @@ def test_batched_antipode_images_match_the_kronecker_route(p, i):
     phi = FpMatrix(p, np.kron(np.eye(i, dtype=np.int64), antipode.matrix.array))
     expected = (relations @ phi.transpose()).array
     assert np.array_equal(_id_tensor_images(relations, antipode), expected)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("i", range(1, 9))
+def test_certificate_tensor_dim_matches_the_quotient(p, i):
+    # the certificate ranks the tensor relations in its own accumulator
+    for m, antipode in (
+        (regular_module(p, i), regular_antipode(p, i)),
+        (trivial_module(p, min(i, 3)), FpMatrix.identity(p, min(i, 3))),
+    ):
+        check = antipode_iso_check(m, antipode)
+        assert check.tensor_dim == tensor_over_groupring(m, m).dim
+        assert check.coinvariant_dim == diagonal_coinvariants(m, m).dim
+
+
+def test_certificate_takes_one_rank_and_no_tensor_quotient(monkeypatch):
+    m = regular_module(3, 6)
+    antipode = regular_antipode(3, 6)
+    calls = {"rank": 0, "tensor": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cycmod, "rank", counted("rank", cycmod.rank))
+    monkeypatch.setattr(
+        cycmod, "tensor_over_groupring", counted("tensor", cycmod.tensor_over_groupring)
+    )
+    for _ in range(2):
+        assert antipode_iso_check(m, antipode).bijective
+    # one rank per check: the coinvariant quotient's
+    assert calls == {"rank": 2, "tensor": 0}
 
 
 @pytest.mark.parametrize("p,i", [(2, 3), (3, 3)])

@@ -181,22 +181,47 @@ def test_block_path_matches_rref_and_row_path(p, rows):
 
 
 def test_block_and_row_entries_share_one_basis():
-    # rows added one at a time and then in blocks reduce against each other
+    # rows added one at a time and then as arrays reduce against each other
     rng = np.random.default_rng(59)
-    for p in (3, 65521):
+    for p in (2, 3, 65521):
         arr = deficient_matrix(rng, p, 3 * B + 5, 50, 30)
         acc = SparseRankAccumulator(50, p)
         for row in arr[:9]:
             nz = np.nonzero(row)[0]
             acc.add_pairs(zip(nz.tolist(), row[nz].tolist()))
-        added = sum(acc.add_block(arr[lo : lo + B]) for lo in range(9, len(arr) - 3, B))
+        added = sum(acc.add_rows(arr[lo : lo + B]) for lo in range(9, len(arr) - 3, B))
         assert not acc.add_pairs((c, v) for c, v in enumerate(arr[0]))
         assert acc.rank == len(rref(FpMatrix(p, arr[:-3]))[1]) == added + row_path_rank(arr[:9], p)
 
 
-def test_add_block_refuses_f2():
-    with pytest.raises(UsageError):
-        SparseRankAccumulator(4, 2).add_block(np.eye(4, dtype=np.int64))
+@pytest.mark.parametrize("p", (2, 3, 5, 65521))
+def test_add_rows_counts_the_pivots_it_adds(p):
+    rng = np.random.default_rng(p)
+    for arr in (
+        deficient_matrix(rng, p, 3 * B + 5, 40, 17),  # zero and duplicate rows
+        np.zeros((4, 9), dtype=np.int64),
+        np.zeros((0, 9), dtype=np.int64),
+        np.repeat(rng.integers(1, p, size=(1, 9)), 5, axis=0),
+    ):
+        expected = len(rref(FpMatrix(p, arr))[1])
+        acc = SparseRankAccumulator(arr.shape[1], p)
+        assert acc.add_rows(arr) == acc.rank == expected
+        # the same rows again add nothing
+        assert acc.add_rows(arr[::-1]) == 0
+        assert acc.rank == expected
+
+
+@pytest.mark.parametrize("width", (1, 7, 8, 9, 70))
+def test_add_rows_packs_every_width_over_f2(width):
+    rng = np.random.default_rng(width)
+    arr = deficient_matrix(rng, 2, 2 * width + 3, width, max(1, width // 2))
+    arr[0] = 0
+    arr[1] = 0
+    arr[1, -1] = 1  # the last column alone, past any whole byte
+    expected = len(rref(FpMatrix(2, arr))[1])
+    acc = SparseRankAccumulator(width, 2)
+    assert acc.add_rows(arr) == expected
+    assert row_path_rank(arr, 2) == expected
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 65521))
@@ -250,12 +275,12 @@ def test_block_path_stops_at_the_float_bound_before_merging(monkeypatch):
     shrink_float_bound(monkeypatch, p, 2 * B + 3)
     eye = np.eye(n, dtype=np.int64) * (p - 1)
     acc = SparseRankAccumulator(n, p)
-    assert acc.add_block(eye[:B]) == acc.add_block(eye[B : 2 * B]) == B
+    assert acc.add_rows(eye[:B]) == acc.add_rows(eye[B : 2 * B]) == B
     # the next block would take the rank from 2B to 3B > 2B + 3
     with pytest.raises(ResourceLimitError):
-        acc.add_block(eye[2 * B : 3 * B])
+        acc.add_rows(eye[2 * B : 3 * B])
     assert acc.rank == 2 * B
-    assert acc.add_block(eye[2 * B : 2 * B + 3]) == 3
+    assert acc.add_rows(eye[2 * B : 2 * B + 3]) == 3
     with pytest.raises(ResourceLimitError):
         rank(FpMatrix(p, eye[: 2 * B + 4]))
     assert rank(FpMatrix(p, eye[: 2 * B + 3])) == 2 * B + 3
