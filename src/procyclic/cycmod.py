@@ -261,11 +261,11 @@ def z_action_homology(m: FpCModule) -> tuple[int, int]:
     """(dim coker(I - T), dim ker(I - T)) for the generator action T.
 
     This is the homology of an infinite-cyclic action at a finite stage.
-    Degrees zero and one are computed along independent routes (column
-    rank for the cokernel, an explicit null-space basis for the kernel).
+    Degrees zero and one are eliminated from different inputs: the columns
+    of I - T for the cokernel, its rows for the null-space basis.
     """
     d = m.dim
     one_minus_t = FpMatrix(m.p, (np.eye(d, dtype=np.int64) - m.action.array) % m.p)
-    h0 = d - rank(one_minus_t)
+    h0 = d - rank(one_minus_t.transpose())
     h1 = kernel_basis(one_minus_t).rows
     return h0, h1

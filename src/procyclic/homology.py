@@ -16,8 +16,8 @@ then a projective cover, so K is the second syzygy and
 with I.K spanned by the (g_j - 1)k over the generators and a basis of K
 (J. F. Carlson, "Calculating group cohomology: tests for completion",
 J. Symb. Comput. 31, 2001; D. J. Green, Groebner Bases and the
-Computation of Group Cohomology, LNM 1828, 2003).  The cost is one
-kernel_basis of a |G| x d|G| matrix and one rank on d|G| columns.
+Computation of Group Cohomology, LNM 1828, 2003).  The cost is two passes
+of linfp's accumulator: a |G| x d|G| kernel_basis and a rank on d|G| columns.
 
 The oracle is bar_h2, the normalized bar complex.  For a group of order
 m the normalized chains in degree n are tuples of non-identity elements,
@@ -37,9 +37,9 @@ linfp.rank, and d3 (never materialized) from a single row generator that
 bit-packs rows over F_2 and emits (column, value) pairs for odd p.  d3
 has (m-1)^3 rows of at most four entries each, so order 64 is the
 practical ceiling (a quarter-million rows) and is also the default
-budget, which both engines share.  Two explicit bases come from the
-dense rref, through linfp.kernel_basis: minres_h2's K and the cycle basis
-of the five-term check, whose images enter the accumulator as one array.
+budget, which both engines share.  The five-term check forms no cycle
+basis: it writes the cycles' images, read off the accumulator's reduced
+d2, straight into one array for the accumulator.
 
 The five-term check compares two independent computations attached to a
 normal subgroup H of G: the cokernel of the induced map
@@ -222,8 +222,9 @@ def five_term_check(group: FiniteGroup, h_elements) -> FiveTermReport:
 
     The cokernel comes from the bar pipeline: push a basis of 2-cycles of
     G through the quotient chain map, adjoin the 2-boundaries of G/H, and
-    subtract the resulting rank from dim Z_2(G/H).  The Hopf side uses
-    only subgroup closures.  Low-degree exactness demands equality.
+    subtract the resulting rank from dim Z_2(G/H); only the images of the
+    cycles, one per free column of the reduced d2, are formed.  The Hopf
+    side uses only subgroup closures.  Low-degree exactness demands equality.
     """
     _check_bar_budget(group)
     quotient, hom = group.quotient(h_elements)
@@ -234,21 +235,24 @@ def five_term_check(group: FiniteGroup, h_elements) -> FiveTermReport:
     pos = {g: idx for idx, g in enumerate(nontrivial)}
     q_nontrivial = [g for g in range(quotient.order) if g != quotient.identity]
     q_pos = {g: idx for idx, g in enumerate(q_nontrivial)}
-    qm1 = len(q_nontrivial)
-    q_cols = qm1 * qm1
+    q_cols = len(q_nontrivial) ** 2
 
     if q_cols == 0:
         return FiveTermReport(0, hopf_quotient(group, h_elements), True)
 
-    # cycles of G pushed into C_2 of the quotient, one row per cycle; a
-    # kernel_basis row has at most rank(d2) + 1 nonzeros, so only those move
-    cycles = kernel_basis(_boundary2_matrix(group, nontrivial, pos)).array
+    # the cycle of free column f of the reduced d2 = R is e_f minus R[r, f]
+    # e_(pivot r) over the rows r; its image row has a one at mapping[f]
+    # and -R[r, f] at mapping[pivot r], skipping the degenerate targets (-1)
+    d2 = SparseRankAccumulator(len(nontrivial) ** 2, p)
+    d2.add_rows(_boundary2_matrix(group, nontrivial, pos).array)
+    pivcols, reduced = d2.reduced()
+    free = np.delete(np.arange(d2.ncols), pivcols)
     mapping = _chain_map_c2(hom, nontrivial, q_pos)
-    rows, cols = np.nonzero(cycles)
-    kept = mapping[cols] >= 0
-    rows, cols = rows[kept], cols[kept]
-    images = np.zeros((len(cycles), q_cols), dtype=np.int64)
-    np.add.at(images, (rows, mapping[cols]), cycles[rows, cols])
+    images = np.zeros((free.size, q_cols), dtype=np.int64)
+    kept = np.flatnonzero(mapping[free] >= 0)
+    images[kept, mapping[free[kept]]] = 1
+    for r in np.flatnonzero(mapping[pivcols] >= 0):
+        images[:, mapping[pivcols[r]]] -= reduced[r, free]
     images %= p
 
     acc = SparseRankAccumulator(q_cols, p)
@@ -258,8 +262,7 @@ def five_term_check(group: FiniteGroup, h_elements) -> FiveTermReport:
     _stream_d3(quotient, q_nontrivial, q_pos, acc)
     rank_union = acc.rank
 
-    d2_q = _boundary2_matrix(quotient, q_nontrivial, q_pos)
-    z2_q = q_cols - rank(d2_q)
+    z2_q = q_cols - rank(_boundary2_matrix(quotient, q_nontrivial, q_pos))
     cokernel_dim = z2_q - rank_union
     hopf_dim = hopf_quotient(group, h_elements)
     return FiveTermReport(

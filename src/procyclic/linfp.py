@@ -23,10 +23,10 @@ checked before pivots are added.  Sums are brought back into [0, p) by
 an exact float step, x - p * floor(x * (1/p)) with one fix-up, instead
 of float %; see _mod_exact.
 
-The dense int64 rref builds the one explicit basis the package needs,
-the null-space basis of kernel_basis, and is the tests' independent
-oracle for rank.  Pivoting is deterministic (first nonzero in column
-order) to keep every report byte-reproducible.
+Null spaces come from the same engine: kernel_basis writes one vector
+per free column of the basis SparseRankAccumulator.reduced hands out.
+The dense int64 rref is unused by the package, and is the tests'
+independent oracle for rank and null space.
 """
 
 from __future__ import annotations
@@ -187,21 +187,18 @@ def rank(matrix: FpMatrix) -> int:
 def kernel_basis(matrix: FpMatrix) -> FpMatrix:
     """Basis of the right null space {v : matrix @ v = 0}, one vector per row.
 
-    Row k is the solution with a one at the k-th free column of the rref,
-    zeros at the other free columns; the rows are independent by
-    construction.
+    Row k is the solution with a one at the k-th free column of the
+    accumulator's reduced basis, zeros at the other free columns; the rows
+    are independent by construction.
     """
-    p = matrix.p
-    reduced, pivots = rref(matrix)
-    ncols = matrix.cols
-    is_free = np.ones(ncols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, ncols), dtype=np.int64)
+    acc = SparseRankAccumulator(matrix.cols, matrix.p)
+    acc.add_rows(matrix.array)
+    pivcols, reduced = acc.reduced()
+    free = np.delete(np.arange(matrix.cols), pivcols)
+    basis = np.zeros((free.size, matrix.cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
-    if pivots:
-        basis[:, pivots] = -reduced[: len(pivots)][:, free].T
-    return FpMatrix(p, basis)
+    basis[:, pivcols] = -reduced[:, free].T
+    return FpMatrix(matrix.p, basis)
 
 
 class SparseRankAccumulator:
@@ -260,6 +257,31 @@ class SparseRankAccumulator:
         if self.p != 2:
             raise UsageError("bit-packed rows only make sense over F_2")
         return self._add_bits(row)
+
+    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pivcols, rows): the basis as int64 rows with rows[:, pivcols] = I.
+
+        For odd p the basis is already reduced.  Over F_2 the rows, in
+        ascending order of leading bit, are cleared at the lower pivots.
+        """
+        if self.p != 2:
+            rows = self._basis[: self.rank] if self.rank else np.zeros((0, self.ncols))
+            return np.array(self._pivcols, dtype=np.int64), rows.astype(np.int64)
+        mask = sum(1 << lead for lead in self._pivots)
+        cleared: dict[int, int] = {}
+        for lead in sorted(self._pivots):
+            row = self._pivots[lead]
+            hits = (row & mask) ^ (1 << lead)  # the pivots below lead
+            while hits:
+                bit = hits.bit_length() - 1
+                row ^= cleared[bit]
+                hits ^= 1 << bit
+            cleared[lead] = row
+        nbytes = (self.ncols + 7) // 8
+        packed = b"".join(row.to_bytes(nbytes, "little") for row in cleared.values())
+        bits = np.frombuffer(packed, dtype=np.uint8).reshape(self.rank, nbytes)
+        rows = np.unpackbits(bits, axis=1, count=self.ncols, bitorder="little")
+        return np.array(list(cleared), dtype=np.int64), rows.astype(np.int64)
 
     def add_rows(self, rows: np.ndarray) -> int:
         """Add the rows of a 2-D int64 array with entries in [0, p).

@@ -10,6 +10,10 @@ engine minres_h2 is checked against the bar oracle bar_h2 wherever the
 bar complex is affordable, and against the closed forms beyond that.
 """
 
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,9 +27,16 @@ from procyclic import (
     five_term_check,
     homology,
     lamplighter_socle,
+    linfp,
     minres_h2,
+    regular_module,
     tower_report,
+    trivial_module,
+    z_action_homology,
 )
+from procyclic.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def dihedral8():
@@ -200,6 +211,44 @@ def test_five_term_equality_on_all_pairs():
         results.append(report)
         assert report.equal, (group, report)
     assert len(results) == 8
+
+
+@pytest.mark.parametrize("p, i, copies", ((2, 2, 2), (2, 3, 1)))
+def test_five_term_at_order_64_forms_no_cycle_basis(p, i, copies):
+    # the dense cycle basis of DL_2(2) alone is 3,909 x 3,969 int64 (124 MB)
+    group = build_lamplighter(p, i, copies)
+    socle = lamplighter_socle(p, i, copies)
+    assert group.order == 64
+    tracemalloc.start()
+    try:
+        report = five_term_check(group, socle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cokernel_dim == report.hopf_dim == 1 and report.equal
+    assert peak < 64 * 2**20, peak
+
+
+def test_null_spaces_take_no_dense_rref(monkeypatch, capsys):
+    def refuse(matrix):
+        raise AssertionError("rref is a test oracle, not a production path")
+
+    monkeypatch.setattr(linfp, "rref", refuse)
+    monkeypatch.delenv("PROCYCLIC_MAX_BAR", raising=False)
+    monkeypatch.delenv("PROCYCLIC_MAX_GROUP", raising=False)
+    goldens = {
+        "report-json": ["report", "--json"],
+        "tower-json": ["tower", "--p", "3", "--imax", "1", "--json"],
+    }
+    for name, argv in goldens.items():
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+    assert main(["h2", "--group", "elab", "--p", "2", "--i", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["h2_dim"] == 15
+    for group, subgroup in five_term_cases():
+        assert five_term_check(group, subgroup).equal
+    assert z_action_homology(regular_module(2, 5)) == (1, 1)
+    assert z_action_homology(trivial_module(3, 7)) == (7, 7)
 
 
 def test_five_term_full_subgroup():

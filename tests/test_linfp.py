@@ -306,3 +306,86 @@ def test_matmul_and_validation():
         FpMatrix(3, [[1, 2, 3]]) @ b
     with pytest.raises(UsageError):
         FpMatrix(3, np.zeros((2, 2, 2)))
+
+
+def rref_null_space(arr, p):
+    """Null-space basis from the rref oracle: one row per free column, ascending."""
+    reduced, pivots = rref(FpMatrix(p, arr))
+    free = [c for c in range(arr.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), arr.shape[1]), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for r, c in enumerate(pivots):
+            basis[k, c] = -reduced[r, f] % p
+    return basis
+
+
+def check_reduced(acc, inputs, p):
+    pivcols, rows = acc.reduced()
+    assert rows.dtype == np.int64 and rows.shape == (acc.rank, acc.ncols)
+    assert pivcols.shape == (acc.rank,)
+    assert np.array_equal(rows[:, pivcols], np.eye(acc.rank, dtype=np.int64))
+    assert ((rows >= 0) & (rows < p)).all()
+    stacked = np.vstack([inputs, rows])
+    assert rank(FpMatrix(p, stacked)) == rank(FpMatrix(p, rows)) == acc.rank
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 65521))
+@pytest.mark.parametrize("shape", ((0, 9), (6, 0), (0, 0), (5, 9), (9, 9), (3 * B + 5, 40)))
+def test_reduced_basis_of_whole_arrays(p, shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1] + p)
+    rows, cols = shape
+    cases = [
+        np.zeros(shape, dtype=np.int64),  # rank 0
+        rng.integers(0, p, size=shape),  # full rank where the shape allows
+        deficient_matrix(rng, p, rows, cols, min(3, rows, cols)),
+    ]
+    if rows == cols and rows:
+        cases.append(np.eye(rows, dtype=np.int64) * (p - 1))  # full rank
+    for arr in cases:
+        acc = SparseRankAccumulator(cols, p)
+        acc.add_rows(arr)
+        assert acc.rank == len(rref(FpMatrix(p, arr))[1])
+        check_reduced(acc, arr, p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 65521))
+def test_reduced_basis_of_mixed_streams(p):
+    rng = np.random.default_rng(60 + p)
+    arr = deficient_matrix(rng, p, 3 * B + 7, 45, 29)
+    acc = SparseRankAccumulator(45, p)
+    for k, lo in enumerate(range(0, len(arr), 5)):
+        chunk = arr[lo : lo + 5]
+        if k % 3 == 0:
+            acc.add_rows(chunk)
+        elif k % 3 == 1 or p != 2:
+            for row in chunk:
+                nz = np.nonzero(row)[0]
+                acc.add_pairs(zip(nz.tolist(), row[nz].tolist()))
+        else:
+            for row in chunk:
+                acc.add_bits(sum(1 << int(c) for c in np.nonzero(row)[0]))
+        check_reduced(acc, arr[: lo + 5], p)
+    assert acc.rank == len(rref(FpMatrix(p, arr))[1])
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 65521))
+def test_kernel_basis_matches_the_rref_null_space(p):
+    rng = np.random.default_rng(70 + p)
+    shapes = [(0, 6), (6, 0), (4, 9), (9, 4), (12, 12), (3 * B + 5, 50)]
+    for rows, cols in shapes:
+        for arr in (
+            np.zeros((rows, cols), dtype=np.int64),
+            rng.integers(0, p, size=(rows, cols)),
+            deficient_matrix(rng, p, rows, cols, min(4, rows, cols)),
+        ):
+            ker = kernel_basis(FpMatrix(p, arr)).array
+            oracle = rref_null_space(arr, p)
+            if p != 2:
+                assert ker.tobytes() == oracle.tobytes() and ker.shape == oracle.shape
+                continue
+            # over F_2 the pivots differ (the accumulator keys rows by their
+            # highest bit), so only the row spaces agree
+            assert ker.shape == oracle.shape
+            both = rank(FpMatrix(2, np.vstack([ker, oracle])))
+            assert both == rank(FpMatrix(2, ker)) == rank(FpMatrix(2, oracle)) == len(ker)
