@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from . import __version__
 from .census import density_gap, enum_A
-from .cycmod import antipode_iso_check, check_module_dim, regular_antipode, regular_module
+from .cycmod import check_module_dim
 from .errors import ResourceLimitError, SearchExhaustedError, UsageError
 from .fpx import TruncSeries, parse_series, render_series, validate_prime
 from .groups import FiniteGroup, build_lamplighter, cyclic_group, elementary_abelian
@@ -28,6 +28,7 @@ from .padic import PadicInt
 from .reporting import (
     DEFAULT_SEED,
     SECTION_ORDER,
+    antipode_bijection,
     census_rows,
     format_row,
     json_header,
@@ -155,9 +156,7 @@ def _cmd_antipode_check(args):
 
 
 def _cmd_coinv(args):
-    check = antipode_iso_check(
-        regular_module(args.p, args.i), regular_antipode(args.p, args.i)
-    )
+    check, ok = antipode_bijection(args.p, args.i)
     coinv_dim, tensor_dim = check.coinvariant_dim, check.tensor_dim
     doc = _wrap(
         "coinv",
@@ -173,7 +172,7 @@ def _cmd_coinv(args):
         f"p={args.p} i={args.i}: coinv_dim={coinv_dim} "
         f"tensor_gr_dim={tensor_dim} antipode_bijective={check.bijective}\n"
     )
-    return doc, text, _status(coinv_dim == tensor_dim == args.i and check.bijective)
+    return doc, text, _status(ok)
 
 
 def _cmd_census(args):
@@ -310,8 +309,7 @@ def _cmd_tower(args):
 
 
 def _cmd_report(args):
-    sections = None if args.all else (args.section or None)
-    doc = run_report(sections=sections, seed=args.seed, with_timings=args.timings)
+    doc = run_report(sections=args.section, seed=args.seed, with_timings=args.timings)
     # the report document has no "command" key, unlike the subcommands'
     return doc.to_json_dict(), doc.render_text(), doc.status
 
@@ -405,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SECTION_ORDER,
         help="run only the named section (repeatable)",
     )
-    sp.add_argument("--all", action="store_true", help="run every section (default)")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--timings", action="store_true", help="include wall-clock timings")
     add_common(sp)

@@ -17,7 +17,8 @@ with I.K spanned by the (g_j - 1)k over the generators and a basis of K
 (J. F. Carlson, "Calculating group cohomology: tests for completion",
 J. Symb. Comput. 31, 2001; D. J. Green, Groebner Bases and the
 Computation of Group Cohomology, LNM 1828, 2003).  The cost is two passes
-of linfp's accumulator: a |G| x d|G| kernel_basis and a rank on d|G| columns.
+of linfp's accumulator: a |G| x d|G| kernel_basis and a rank on d|G|
+columns, fed the rows (g_j - 1)k one generator at a time.
 
 The oracle is bar_h2, the normalized bar complex.  For a group of order
 m the normalized chains in degree n are tuples of non-identity elements,
@@ -34,9 +35,9 @@ where faces containing the identity are dropped.  Then
 
 Both ranks stream through linfp.SparseRankAccumulator: d2 via
 linfp.rank, and d3 (never materialized) from a single row generator that
-bit-packs rows over F_2 and emits (column, value) pairs for odd p.  d3
-has (m-1)^3 rows of at most four entries each, so order 64 is the
-practical ceiling (a quarter-million rows) and is also the default
+bit-packs rows over F_2 and fills blocks of BLOCK_ROWS rows for add_rows
+otherwise.  d3 has (m-1)^3 rows of at most four entries each, so order 64
+is the practical ceiling (a quarter-million rows) and is also the default
 budget, which both engines share.  The five-term check forms no cycle
 basis: it writes the cycles' images, read off the accumulator's reduced
 d2, straight into one array for the accumulator.
@@ -57,8 +58,8 @@ import numpy as np
 
 from .cycmod import diagonal_coinvariants, regular_module, tensor_over_groupring
 from .errors import ResourceLimitError, UsageError, env_budget
-from .groups import FiniteGroup, GroupHom, build_lamplighter, elementary_abelian, hopf_quotient
-from .linfp import FpMatrix, SparseRankAccumulator, kernel_basis, rank
+from .groups import FiniteGroup, GroupHom, build_lamplighter, hopf_quotient
+from .linfp import BLOCK_ROWS, FpMatrix, SparseRankAccumulator, kernel_basis, rank
 
 __all__ = [
     "minres_h2",
@@ -105,7 +106,7 @@ def _boundary2_matrix(group: FiniteGroup, nontrivial, pos) -> FpMatrix:
 
 
 def _stream_d3(group: FiniteGroup, nontrivial, pos, acc: SparseRankAccumulator) -> None:
-    """Feed every row of d3 to acc: bit-packed over F_2, (column, value) pairs otherwise.
+    """Feed every row of d3 to acc: bit-packed over F_2, in blocks otherwise.
 
     Row [g|h|k] has columns [h|k], [g|h] and, unless gh or hk is the
     identity, [gh|k] and [g|hk], in the C_2 numbering of _boundary2_matrix.
@@ -116,7 +117,8 @@ def _stream_d3(group: FiniteGroup, nontrivial, pos, acc: SparseRankAccumulator) 
         [pos.get(int(x), -1) for x in group.table[g, nontrivial]] for g in nontrivial
     ]
     bits = group.p == 2
-    add = acc.add_bits if bits else acc.add_pairs
+    buf = None if bits else np.zeros((BLOCK_ROWS, m1 * m1), dtype=np.int64)
+    filled = 0
     for a in range(m1):
         a_base = a * m1
         prod_a = prod[a]
@@ -132,13 +134,22 @@ def _stream_d3(group: FiniteGroup, nontrivial, pos, acc: SparseRankAccumulator) 
                         row ^= 1 << (gh_base + c)  # [gh|k]
                     if hk >= 0:
                         row ^= 1 << (a_base + hk)  # [g|hk]
-                else:
-                    row = [(b_base + c, 1), (a_base + b, -1)]
-                    if gh_base >= 0:
-                        row.append((gh_base + c, -1))
-                    if hk >= 0:
-                        row.append((a_base + hk, 1))
-                add(row)
+                    acc.add_bits(row)
+                    continue
+                row = buf[filled]
+                row[b_base + c] += 1
+                row[a_base + b] -= 1
+                if gh_base >= 0:
+                    row[gh_base + c] -= 1
+                if hk >= 0:
+                    row[a_base + hk] += 1
+                filled += 1
+                if filled == BLOCK_ROWS:
+                    acc.add_rows(buf % group.p)
+                    buf.fill(0)
+                    filled = 0
+    if filled:
+        acc.add_rows(buf[:filled] % group.p)
 
 
 def bar_h2(group: FiniteGroup) -> int:
@@ -195,11 +206,14 @@ def minres_h2(group: FiniteGroup) -> int:
         )
     # left multiplication by g moves coordinate h of every block to g.h
     blocks = kernel.reshape(dim_k, d, m)
-    moved = np.empty((d, dim_k, d, m), dtype=np.int64)
-    for j, g in enumerate(gens):
-        moved[j][:, :, group.table[g]] = blocks
-    moved -= blocks
-    return dim_k - rank(FpMatrix(p, moved.reshape(d * dim_k, d * m)))
+    moved = np.empty_like(blocks)
+    acc = SparseRankAccumulator(d * m, p)
+    for g in gens:
+        moved[:, :, group.table[g]] = blocks
+        moved -= blocks
+        moved %= p
+        acc.add_rows(moved.reshape(dim_k, d * m))
+    return dim_k - acc.rank
 
 
 @dataclass(frozen=True)
@@ -309,10 +323,11 @@ def tower_report(p: int, i_max: int) -> TowerReport:
     the level-i regular module.  The recorded checks are the finite-level
     collapse (both module dimensions equal i) and the split lower bound
 
-        h2_dim >= i + 2 * H_2((Z/p)^i).
+        h2_dim >= i + 2 * H_2((Z/p)^i),
 
-    Levels past the PROCYCLIC_MAX_BAR budget stop the tower with a partial
-    report.
+    where elab_h2 = dim H_2((Z/p)^i, F_p) = i(i+1)/2 by Kunneth, so no
+    (Z/p)^i table is built.  Levels past the PROCYCLIC_MAX_BAR budget stop
+    the tower with a partial report.
     """
     if i_max < 1:
         raise UsageError("tower needs i_max >= 1")
@@ -321,9 +336,9 @@ def tower_report(p: int, i_max: int) -> TowerReport:
         try:
             group = build_lamplighter(p, i, copies=2)
             h2 = minres_h2(group)
-            elab = minres_h2(elementary_abelian(p, i))
         except ResourceLimitError as exc:
             return TowerReport(p=p, rows=tuple(rows), complete=False, stopped_reason=str(exc))
+        elab = i * (i + 1) // 2
         reg = regular_module(p, i)
         coinv = diagonal_coinvariants(reg, reg).dim
         tensor = tensor_over_groupring(reg, reg).dim

@@ -7,8 +7,10 @@ dimension is the ambient dimension minus the rank of the relation rows,
 and a span inclusion is an equality of two ranks.
 
 Every rank is taken by one engine, SparseRankAccumulator, and only its
-pivot rows are kept.  A whole array enters it through add_rows, for
-every p; rows born one at a time enter through add_pairs or add_bits.
+pivot rows are kept.  Arrays and every odd-p row the package forms
+enter it in blocks through add_rows, single F_2 rows through add_bits;
+add_pairs, one row of (column, value) pairs, is the route of the tests
+and the benchmark.
 Over F_2 a row is a bit-packed Python integer and each reduction is one
 word-parallel xor.  For odd p the pivot rows are kept inter-reduced in
 float64, and add_rows feeds the nonzero rows in blocks of BLOCK_ROWS

@@ -1,8 +1,10 @@
 """Verification sections and the report document.
 
 Each section runs one family of checks end to end and reports rows of
-machine-readable facts plus a pass/fail status.  The full document is the
-CLI's `report` output; individual subcommands reuse single sections.
+machine-readable facts plus a pass/fail status.  SECTIONS lists them
+once, in report order; a section that no caller configures runs one fixed
+check and takes no parameters.  The full document is the CLI's `report`
+output; individual subcommands reuse single sections.
 
 All randomized trials draw from a seeded generator, so a fixed seed gives
 a byte-identical document.  Timings are only recorded when explicitly
@@ -28,6 +30,7 @@ from .census import (
     mu,
 )
 from .cycmod import (
+    AntipodeCheck,
     antipode_iso_check,
     diagonal_coinvariants,
     regular_antipode,
@@ -61,19 +64,6 @@ TAU_BLOCK = 20
 # of three, one core of a shared 2-CPU x86-64 machine).  The bound could be
 # far higher; it stays where the CLI's golden outputs pin it.
 MAX_SIGMA_WORK = 1 << 20
-
-SECTION_ORDER = (
-    "frobenius",
-    "tau-soundness",
-    "antipode-bijection",
-    "finite-collapse",
-    "counting-bound",
-    "density-gap",
-    "mu-kappa",
-    "homology-oracle",
-    "five-term",
-    "tower",
-)
 
 
 @dataclass
@@ -280,18 +270,20 @@ def section_antipode_series(
     return Section("antipode-series", "pass" if ok else "fail", [row])
 
 
+def antipode_bijection(p: int, i: int) -> tuple[AntipodeCheck, bool]:
+    """The antipode certificate of the level-i regular module, and whether it
+    passes: the antipode is a bijection and both dimensions equal i."""
+    check = antipode_iso_check(regular_module(p, i), regular_antipode(p, i))
+    ok = check.bijective and check.coinvariant_dim == check.tensor_dim == i
+    return check, ok
+
+
 def section_antipode_bijection(primes=(2, 3), i_max: int = 6) -> Section:
     rows = []
     ok = True
     for p in primes:
         for i in range(1, i_max + 1):
-            mod = regular_module(p, i)
-            check = antipode_iso_check(mod, regular_antipode(p, i))
-            good = (
-                check.bijective
-                and check.coinvariant_dim == i
-                and check.tensor_dim == i
-            )
+            check, good = antipode_bijection(p, i)
             ok &= good
             rows.append(
                 {
@@ -305,11 +297,11 @@ def section_antipode_bijection(primes=(2, 3), i_max: int = 6) -> Section:
     return Section("antipode-bijection", "pass" if ok else "fail", rows)
 
 
-def section_finite_collapse(primes=(2, 3), i_max: int = 8) -> Section:
+def section_finite_collapse() -> Section:
     rows = []
     ok = True
-    for p in primes:
-        for i in range(1, i_max + 1):
+    for p in (2, 3):
+        for i in range(1, 9):
             mod = regular_module(p, i)
             coinv = diagonal_coinvariants(mod, mod).dim
             tensor = tensor_over_groupring(mod, mod).dim
@@ -325,8 +317,7 @@ def census_rows(p: int, alpha, beta, k: int, i_max: int) -> list[dict]:
     The budget of the top level is checked before any level is computed.
     """
     n = len(alpha)
-    if i_max >= k:
-        check_census_budget(p, n, i_max)
+    check_census_budget(p, n, i_max)
     rows = []
     for i in range(k, i_max + 1):
         size = len(census_ratio_set(p, alpha, beta, k, i))
@@ -345,15 +336,11 @@ def census_rows(p: int, alpha, beta, k: int, i_max: int) -> list[dict]:
     return rows
 
 
-def section_counting_bound(
-    p: int = 2, n: int = 1, k: int = 1, i_max: int = 4, alpha=None, beta=None
-) -> Section:
-    alpha = list(alpha) if alpha is not None else [1] * n
-    beta = list(beta) if beta is not None else [1] * n
+def section_counting_bound() -> Section:
     rows = []
     ratios = []
     ok = True
-    for row in census_rows(p, alpha, beta, k, i_max):
+    for row in census_rows(2, [1], [1], 1, 4):
         ratios.append(row["ratio"])
         ok &= row["within_bound"]
         rows.append(
@@ -367,18 +354,16 @@ def section_counting_bound(
             }
         )
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
-    final_small = ratios[-1] < 1e-3 if ratios else False
+    final_small = ratios[-1] < 1e-3
     ok &= decreasing and final_small
     rows.append({"strictly_decreasing": decreasing, "final_below_1e-3": final_small})
     return Section("counting-bound", "pass" if ok else "fail", rows)
 
 
-def section_density_gap(p: int = 2, s: int = 1, i_max: int = 4) -> Section:
+def section_density_gap() -> Section:
     rows = []
     try:
-        result = density_gap(
-            lambda level: enum_A(p, level), TruncSeries.zero(p, max(2, p**s)), s, i_max
-        )
+        result = density_gap(lambda level: enum_A(2, level), TruncSeries.zero(2, 2), 1, 4)
     except SearchExhaustedError as exc:
         for level, size, cosets in exc.counts:
             rows.append({"level": level, "census": size, "cosets": cosets})
@@ -397,9 +382,8 @@ def section_density_gap(p: int = 2, s: int = 1, i_max: int = 4) -> Section:
     return Section("density-gap", "pass", rows)
 
 
-def section_mu_kappa(
-    p: int = 2, prec: int = 128, trials: int = 100, seed: int = DEFAULT_SEED
-) -> Section:
+def section_mu_kappa(seed: int = DEFAULT_SEED) -> Section:
+    p, prec, trials = 2, 128, 100
     rng = random.Random(seed)
     round_trip = 0
     normalized_trip = 0
@@ -488,11 +472,11 @@ def tower_row(row: TowerRow) -> dict:
     }
 
 
-def section_tower(p: int = 2, i_max: int = 2) -> Section:
-    report = tower_report(p, i_max)
+def section_tower() -> Section:
+    report = tower_report(2, 2)
     rows = [tower_row(row) for row in report.rows]
     status = report.status
-    if p == 2 and report.rows:
+    if report.rows:
         expected_first = report.rows[0].h2_dim == 6
         status = status if expected_first else "fail"
         rows.append({"dl1_h2_is_6": expected_first})
@@ -501,7 +485,7 @@ def section_tower(p: int = 2, i_max: int = 2) -> Section:
     return Section("tower", status, rows)
 
 
-_RUNNERS = {
+SECTIONS = {
     "frobenius": section_frobenius,
     "tau-soundness": section_tau_soundness,
     "antipode-bijection": section_antipode_bijection,
@@ -513,6 +497,7 @@ _RUNNERS = {
     "five-term": section_five_term,
     "tower": section_tower,
 }
+SECTION_ORDER = tuple(SECTIONS)
 
 
 def run_report(
@@ -520,7 +505,7 @@ def run_report(
 ) -> ReportDocument:
     """Run the named sections (all of them by default) in canonical order."""
     chosen = list(sections) if sections else list(SECTION_ORDER)
-    unknown = [s for s in chosen if s not in _RUNNERS]
+    unknown = [s for s in chosen if s not in SECTIONS]
     if unknown:
         raise UsageError(f"unknown report sections: {', '.join(unknown)}")
     config = {
@@ -530,10 +515,9 @@ def run_report(
         "sections": ",".join(chosen),
     }
     doc = ReportDocument(config=config)
-    for name in SECTION_ORDER:
+    for name, runner in SECTIONS.items():
         if name not in chosen:
             continue
-        runner = _RUNNERS[name]
         start = time.perf_counter()
         if name in ("tau-soundness", "mu-kappa"):
             section = runner(seed=seed)

@@ -15,6 +15,7 @@ import numpy as np
 import procyclic
 import procyclic.cli  # noqa: F401  (the tracer wraps cli.main)
 from procyclic import FpMatrix, rank
+from procyclic.reporting import SECTION_ORDER
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -41,3 +42,7 @@ def test_tracer_installs_and_counts_accumulator_rows():
     finally:
         tracer.uninstall()
     assert procyclic.linfp.rank is original_rank
+
+
+def test_tracer_times_every_report_section_in_report_order():
+    assert load_tracing().REPORT_SECTIONS == SECTION_ORDER

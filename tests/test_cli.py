@@ -370,6 +370,18 @@ def test_unknown_command_exits_2(capsys):
     assert info.value.code == 2
 
 
+def test_report_all_is_an_unknown_flag(capsys):
+    # every section runs by default; there is no --all to ask for it
+    with pytest.raises(SystemExit) as info:
+        main(["report", "--all"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: procyclic")
+    assert "unrecognized arguments: --all" in err
+    assert "Traceback" not in err
+
+
 def test_report_sections_deterministic(capsys):
     args = ["report", "--section", "mu-kappa", "--section", "density-gap", "--json"]
     code1, out1, _ = run_cli(capsys, *args)

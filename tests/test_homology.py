@@ -151,13 +151,29 @@ def test_bar_budget(monkeypatch):
         (lambda: build_lamplighter(2, 2, 1), 4),
         (lambda: elementary_abelian(2, 5), 15),
         (lambda: build_lamplighter(2, 2, 2), 9),  # DL_2(2), order 64
+        (lambda: build_lamplighter(3, 1, 2), 6),  # DL_3(1): 17,576 d3 rows over F_3
         (lambda: cyclic_group(2, 0), 0),
     ],
-    ids=KNOWN_H2_IDS + ["D4", "Q8", "L2(2)", "Z2^5", "DL2(2)", "trivial"],
+    ids=KNOWN_H2_IDS + ["D4", "Q8", "L2(2)", "Z2^5", "DL2(2)", "DL3(1)", "trivial"],
 )
 def test_minres_h2_matches_bar_oracle(build, expected):
     group = build()
     assert minres_h2(group) == bar_h2(group) == expected
+
+
+def test_minres_h2_streams_level_three_of_the_tower(monkeypatch):
+    # DL_2(3), order 512: the rows of I.K enter the accumulator one
+    # generator at a time, with no d * dim K x d|G| staging array
+    monkeypatch.setenv("PROCYCLIC_MAX_BAR", "512")
+    group = build_lamplighter(2, 3, 2)
+    tracemalloc.start()
+    try:
+        h2 = minres_h2(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h2 == 10
+    assert peak < 64 * 2**20, peak
 
 
 def test_minres_h2_refuses_a_non_generating_set(monkeypatch):
@@ -295,6 +311,12 @@ def test_tower_level_two_full():
     assert row.coinvariant_dim == 2 and row.tensor_gr_dim == 2
     assert row.h2_dim == 9 and row.h2_lower_bound == 8
     assert row.collapse_ok and row.inequality_ok
+
+
+@pytest.mark.parametrize("p, i", [(2, 1), (2, 2), (3, 1)])
+def test_tower_elab_h2_is_the_kunneth_count(p, i):
+    row = tower_report(p, i).rows[i - 1]
+    assert row.elab_h2 == minres_h2(elementary_abelian(p, i)) == i * (i + 1) // 2
 
 
 def test_tower_p3_level_one():
