@@ -4,7 +4,9 @@ A group of order m is a uint16 table t with t[a, b] = index of a*b, plus
 the identity index and an inverse table.  Construction verifies the group
 axioms exactly at every order: a two-sided identity, two-sided inverses,
 and associativity by Light's test, one m x m table comparison per
-element of a greedily chosen generating set.
+element that `greedy_walk` keeps; `homology.minres_h2` walks it modulo
+[G,G]G^p too.  It goes highest index first because the builders put the
+cyclic part in the top digits: on their groups it keeps exactly d(G).
 
 The builders cover the groups this package studies: cyclic p-groups,
 elementary abelian groups, and the (single or double) lamplighter
@@ -20,6 +22,8 @@ with the cyclic generator acting on each coordinate as multiplication by
 acting on the left factor by the power of the generator matrix named by
 the *right* factor's cyclic part.  The opposite convention gives an
 isomorphic group; one choice is canonical so tables are reproducible.
+The coordinates form one base-p word u (index u + n p^(i copies)), on
+which T acts block-diagonally; all builders share one budget check.
 
 Subgroup-flavored operations (closure, normality, the p-Frattini-style
 products [G,G]G^p and [H,G]H^p, quotient groups) work on index sets and
@@ -44,6 +48,7 @@ __all__ = [
     "lamplighter_socle",
     "hopf_quotient",
     "max_group_order",
+    "greedy_walk",
 ]
 
 DEFAULT_MAX_GROUP = 4096
@@ -79,6 +84,21 @@ def _right_closure(tab: np.ndarray, reached: np.ndarray, gens) -> None:
         new &= ~reached
         reached |= new
         frontier = np.flatnonzero(new)
+
+
+def greedy_walk(tab: np.ndarray, reached: np.ndarray):
+    """Yield, highest index first, each element that the mask ``reached`` lacks.
+
+    After each yield, ``reached`` is closed under right multiplication by
+    every element yielded so far.  From {e} it grows into the subgroup the
+    yielded elements generate; from a normal subgroup N into <yielded, N>.
+    """
+    kept: list[int] = []
+    for g in range(len(tab) - 1, -1, -1):
+        if not reached[g]:
+            yield g
+            kept.append(g)
+            _right_closure(tab, reached, kept)
 
 
 def _generator_names(names) -> tuple[str, ...]:
@@ -148,25 +168,18 @@ class FiniteGroup:
         good, and good elements are closed under the product: for good g, h,
         (x (g h)) y = ((x g) h) y = (x g) (h y) = x (g (h y)) = x ((g h) y).
         So if the elements of a set generating the table as a magma are
-        good, the table is associative.  The set is picked greedily: walk
-        the indices, keeping each element not yet reached from the identity
-        by right multiplication by those kept.  Each kept g costs one m x m
-        comparison, O(d m^2) in all; a group keeps d <= log_2 m elements.
+        good, the table is associative.  The set is `greedy_walk` from the
+        identity.  Each kept g costs one m x m comparison, O(d m^2) in all;
+        a group keeps d <= log_2 m elements.
 
         A. H. Clifford and G. B. Preston, *The Algebraic Theory of
         Semigroups* I, Amer. Math. Soc. (1961), Section 1.2.
         """
-        reached = np.zeros(len(tab), dtype=bool)
-        reached[identity] = True
-        kept: list[int] = []
-        for g in range(len(tab)):
-            if reached[g]:
-                continue
+        reached = np.arange(len(tab)) == identity
+        for g in greedy_walk(tab, reached):
             # row x: (x g) y against x (g y), for all y
             if not np.array_equal(tab[tab[:, g]], np.take(tab, tab[g], axis=1)):
                 raise UsageError(f"associativity fails at element {g}")
-            kept.append(g)
-            _right_closure(tab, reached, kept)
 
     # -- element arithmetic -------------------------------------------
 
@@ -313,6 +326,15 @@ class GroupHom:
 # -- builders ----------------------------------------------------------
 
 
+def _check_order(order: int) -> None:
+    """ResourceLimitError if a table of this order exceeds the group budget."""
+    if order > max_group_order():
+        raise ResourceLimitError(
+            f"order {order} exceeds budget {max_group_order()} "
+            "(set PROCYCLIC_MAX_GROUP to raise it)"
+        )
+
+
 def cyclic_group(p: int, e: int) -> FiniteGroup:
     """Z / p^e as a table group."""
     p = validate_prime(p)
@@ -320,8 +342,7 @@ def cyclic_group(p: int, e: int) -> FiniteGroup:
     if e < 0:
         raise UsageError("exponent must be nonnegative")
     m = p**e
-    if m > max_group_order():
-        raise ResourceLimitError(f"order {m} exceeds budget {max_group_order()}")
+    _check_order(m)
     idx = np.arange(m)
     table = (idx[:, None] + idx[None, :]) % m
     return FiniteGroup(p, table.astype(np.uint16), generator_names=("g",))
@@ -333,84 +354,67 @@ def elementary_abelian(p: int, r: int) -> FiniteGroup:
     r = exact_int(r, "rank")
     if r < 0:
         raise UsageError("rank must be nonnegative")
-    m = p**r
-    if m > max_group_order():
-        raise ResourceLimitError(f"order {m} exceeds budget {max_group_order()}")
+    _check_order(p**r)
     names = tuple(f"e{j+1}" for j in range(r))
     return FiniteGroup(p, _word_sums(p, r), generator_names=names)
 
 
-def _digits(count: int, base: int, width: int) -> np.ndarray:
-    """Little-endian base-``base`` digits of 0 .. count-1, one row each."""
-    return np.arange(count)[:, None] // base ** np.arange(width) % base
-
-
 def _word_sums(p: int, width: int) -> np.ndarray:
-    """Table of digitwise sums mod p of little-endian base-p words."""
-    m = p**width
-    digits = _digits(m, p, width)
-    weights = p ** np.arange(width)
-    table = np.zeros((m, m), dtype=np.uint16)
-    for a in range(m):
-        table[a] = ((digits[a][None, :] + digits) % p) @ weights
+    """Table of digitwise sums mod p of little-endian base-p words.
+
+    A word of width w + 1 is its low digit plus p times a word of width w,
+    so the table grows one digit at a time.
+    """
+    # Z/p as a table, none for width 0 (p may be 65521); uint32 holds 2p - 2
+    idx = np.arange(p if width else 0, dtype=np.uint32)
+    digit = ((idx[:, None] + idx) % p).astype(np.uint16)
+    table = np.zeros((1, 1), dtype=np.uint16)
+    for _ in range(width):
+        n = table.shape[0] * p
+        table = (p * table[:, None, :, None] + digit[:, None, :]).reshape(n, n)
     return table
+
+
+def _lamplighter_shape(p: int, i: int, copies: int) -> tuple[int, int, int]:
+    """(p, i, copies) checked: a prime, a level i >= 1, and 1 or 2 copies."""
+    p = validate_prime(p)
+    i = exact_int(i, "level")
+    if i < 1:
+        raise UsageError("level i must be >= 1")
+    copies = exact_int(copies, "copies")
+    if copies not in (1, 2):
+        raise UsageError("copies must be 1 or 2")
+    return p, i, copies
 
 
 def build_lamplighter(p: int, i: int, copies: int = 2) -> FiniteGroup:
     """(F_p[x]/(x^i))^copies semidirect Z/p^i with the 1-x shift action.
 
-    Element index layout: the coordinate series come first as base-p
-    digits, coefficient of x^j of coordinate c at digit j + i c, and the
-    cyclic part n is the most significant word,
-
-        index = sum_c sum_j u_c[j] p^(j + i c)  +  n p^(i copies).
-
-    So the base subgroup is ``range(p**(i * copies))``; see
-    `lamplighter_socle` for the central socle.
+    The coordinate series form one little-endian base-p word u (coefficient
+    of x^j of coordinate c at digit j + i c), on which T acts block-diagonally;
+    index = u + n p^(i copies) for the cyclic part n, so the base subgroup is
+    ``range(p**(i * copies))``; `lamplighter_socle` names the central socle.
     """
-    p = validate_prime(p)
-    i = exact_int(i, "level")
-    if i < 1:
-        raise UsageError("level i must be >= 1")
-    if exact_int(copies, "copies") not in (1, 2):
-        raise UsageError("copies must be 1 or 2")
-    cyclic_order = p**i
-    order = p ** (i * copies) * cyclic_order
-    if order > max_group_order():
-        raise ResourceLimitError(
-            f"order {order} exceeds budget {max_group_order()} "
-            "(set PROCYCLIC_MAX_GROUP to raise it)"
-        )
-
-    # powers of the action matrix, applied to all p^i coordinate values
-    base_count = p**i
+    p, i, copies = _lamplighter_shape(p, i, copies)
+    width = i * copies
+    words, cyclic_order = p**width, p**i
+    order = words * cyclic_order
+    _check_order(order)
     t_action = np.eye(i, dtype=np.int64) + (p - 1) * np.eye(i, k=-1, dtype=np.int64)
-    digits = _digits(base_count, p, i)
-    weights = p ** np.arange(i)
-
-    acted = np.zeros((cyclic_order, base_count), dtype=np.int64)
-    power = np.eye(i, dtype=np.int64)
-    for n in range(cyclic_order):
-        acted[n] = ((digits @ power.T) % p) @ weights
-        power = (t_action @ power) % p
-
-    # element index = sum_c coord_c * base_count^c + n * base_count^copies
-    coord_weights = base_count ** np.arange(copies)
-    n_weight = base_count**copies
-
-    coords = _digits(order, base_count, copies)
-    n_part = np.arange(order) // n_weight  # cyclic component of every element
-    add = _word_sums(p, i)  # add[u, w]: index of the coordinate sum u + w
-
-    # the columns b with cyclic part nb form one contiguous block, and
-    # every block lists the base coordinates in the same order
-    base = coords[:n_weight]
-    table = np.zeros((order, order), dtype=np.uint16)
+    action = np.kron(np.eye(copies, dtype=np.int64), t_action)
+    weights = p ** np.arange(width)
+    digits = np.arange(words)[:, None] // weights % p
+    shift = ((digits @ action.T) % p) @ weights  # shift[u] = u . T
+    add = _word_sums(p, width)  # add[u, w]: index of the word sum u + w
+    n, u = np.divmod(np.arange(order), words)
+    # the columns with cyclic part nb form one block, listing the words in order
+    table = np.empty((order, order), dtype=np.uint16)
     for nb in range(cyclic_order):
-        moved = acted[nb][coords]  # apply T^(nb) to every coordinate of a
-        summed = sum(add[moved[:, c]][:, base[:, c]] * w for c, w in enumerate(coord_weights))
-        n_sum = ((n_part + nb) % cyclic_order) * n_weight
-        table[:, nb * n_weight : (nb + 1) * n_weight] = summed + n_sum[:, None]
+        block = table[:, nb * words : (nb + 1) * words]
+        # u: every element's word times T^nb; "clip" (all in range) is unbuffered
+        np.take(add, u, axis=0, out=block, mode="clip")
+        block += (((n + nb) % cyclic_order) * words).astype(np.uint16)[:, None]
+        u = shift[u]
 
     return FiniteGroup(p, table, generator_names=("a", "b", "c")[: copies + 1])
 
@@ -422,7 +426,8 @@ def lamplighter_socle(p: int, i: int, copies: int, coordinate: int = 0) -> froze
     normal subgroup.  In the index layout, c x^(i-1) in coordinate k is
     c p^(i-1 + i k).
     """
-    if not 0 <= coordinate < copies:
+    p, i, copies = _lamplighter_shape(p, i, copies)
+    if not 0 <= exact_int(coordinate, "coordinate") < copies:
         raise UsageError(f"no coordinate {coordinate} in {copies} copies")
     return frozenset(c * p ** (i - 1 + i * coordinate) for c in range(p))
 

@@ -3,8 +3,8 @@
 The engine is minres_h2.  For a p-group G the group algebra A = F_pG is
 local with augmentation ideal I, so dim H_2(G, F_p) = dim Tor_2^A(F_p, F_p)
 is the number of minimal generators of the second syzygy.  Take minimal
-generators g_1..g_d of G, d = log_p [G : [G,G]G^p] (a greedy walk over
-the element indices modulo [G,G]G^p), and
+generators g_1..g_d of G, d = log_p [G : [G,G]G^p] (groups.greedy_walk
+over the element indices modulo [G,G]G^p), and
 
     K = ker(A^d -> A, e_j |-> g_j - 1),
 
@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycmod import diagonal_coinvariants, regular_module, tensor_over_groupring
-from .errors import ResourceLimitError, UsageError, env_budget
-from .groups import FiniteGroup, GroupHom, build_lamplighter, hopf_quotient
+from .errors import ResourceLimitError, UsageError, env_budget, exact_int
+from .groups import FiniteGroup, GroupHom, build_lamplighter, greedy_walk, hopf_quotient
 from .linfp import BLOCK_ROWS, FpMatrix, SparseRankAccumulator, kernel_basis, rank
 
 __all__ = [
@@ -167,22 +167,15 @@ def bar_h2(group: FiniteGroup) -> int:
 
 
 def _minimal_generators(group: FiniteGroup) -> list[int]:
-    """Walk the element indices, keeping each one outside <kept>[G,G]G^p.
+    """`greedy_walk` from [G,G]G^p, keeping each element outside <kept>[G,G]G^p.
 
+    [G,G]G^p is normal, so the walk's right closure of it is <kept>[G,G]G^p.
     Each kept element raises the dimension of the image of <kept> in the
     F_p-space G/[G,G]G^p by one, so the walk keeps d = log_p [G : [G,G]G^p]
     elements, and by the Burnside basis theorem they generate G.
     """
-    frattini = sorted(group.commutator_p_subgroup())
-    gens: list[int] = []
-    span = frozenset(frattini)
-    for g in range(group.order):
-        if len(span) == group.order:
-            break
-        if g not in span:
-            gens.append(g)
-            span = group.subgroup_closure(gens + frattini)
-    return gens
+    frattini = group._mask(list(group.commutator_p_subgroup()))
+    return list(greedy_walk(group.table, frattini))
 
 
 def minres_h2(group: FiniteGroup) -> int:
@@ -329,7 +322,7 @@ def tower_report(p: int, i_max: int) -> TowerReport:
     (Z/p)^i table is built.  Levels past the PROCYCLIC_MAX_BAR budget stop
     the tower with a partial report.
     """
-    if i_max < 1:
+    if exact_int(i_max, "i_max") < 1:
         raise UsageError("tower needs i_max >= 1")
     rows = []
     for i in range(1, i_max + 1):

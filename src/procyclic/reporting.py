@@ -273,7 +273,8 @@ def section_antipode_series(
 def antipode_bijection(p: int, i: int) -> tuple[AntipodeCheck, bool]:
     """The antipode certificate of the level-i regular module, and whether it
     passes: the antipode is a bijection and both dimensions equal i."""
-    check = antipode_iso_check(regular_module(p, i), regular_antipode(p, i))
+    antipode = regular_antipode(p, i)
+    check = antipode_iso_check(antipode.module, antipode)
     ok = check.bijective and check.coinvariant_dim == check.tensor_dim == i
     return check, ok
 

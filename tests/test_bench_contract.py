@@ -46,3 +46,24 @@ def test_tracer_installs_and_counts_accumulator_rows():
 
 def test_tracer_times_every_report_section_in_report_order():
     assert load_tracing().REPORT_SECTIONS == SECTION_ORDER
+
+
+def test_each_builder_call_adds_one_build_and_one_table_span():
+    # a builder that called another builder, or built two tables, would
+    # double-count groups.build.calls or groups.table.calls
+    groups = procyclic.groups
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        builds = [
+            lambda: groups.cyclic_group(2, 2),
+            lambda: groups.elementary_abelian(3, 2),
+            lambda: groups.build_lamplighter(2, 2, 1),
+            lambda: groups.build_lamplighter(3, 1, 2),
+        ]
+        for calls, build in enumerate(builds, start=1):
+            build()
+            spans = tracer.aggregate()
+            assert spans["groups.build.calls"] == spans["groups.table.calls"] == calls
+    finally:
+        tracer.uninstall()

@@ -25,9 +25,11 @@ from procyclic import (
     cyclic_group,
     elementary_abelian,
     enum_A,
+    lamplighter_socle,
     parse_series,
     regular_module,
     tau,
+    tower_report,
     trivial_module,
 )
 from procyclic.errors import UsageError
@@ -131,6 +133,13 @@ def test_every_integer_dtype_matches_python_ints(case, typed):
         lambda: elementary_abelian(2, True),
         lambda: build_lamplighter(2, 1.0),
         lambda: build_lamplighter(2, 1, 2.0),
+        lambda: lamplighter_socle(2.0, 2, 1),
+        lambda: lamplighter_socle(2, 2.0, 1),
+        lambda: lamplighter_socle(2, 2, 1.0),
+        lambda: lamplighter_socle(2, 2, 2, 1.0),
+        lambda: lamplighter_socle(2, 2, 2, True),
+        lambda: tower_report(2, 2.0),
+        lambda: tower_report(2, True),
         lambda: census_ratio_set(2, [1], [1], 1.0, 2),
         lambda: census_ratio_set(2, [1], [1], 1, 2.0),
         lambda: TruncSeries(5, [1, 2]).extend(9.0),
@@ -150,6 +159,23 @@ def test_every_integer_dtype_matches_python_ints(case, typed):
 def test_non_integral_scalar_argument_is_refused(build):
     with pytest.raises(UsageError, match="must be an integer"):
         build()
+
+
+@pytest.mark.parametrize(
+    "p,i,copies,message",
+    [
+        (4, 2, 1, "4 is not prime"),
+        (1, 2, 1, "prime must lie in"),
+        (2, 0, 1, "level i must be >= 1"),
+        (2, -1, 2, "level i must be >= 1"),
+        (2, 2, 3, "copies must be 1 or 2"),
+        (2, 2, 0, "copies must be 1 or 2"),
+    ],
+)
+def test_lamplighter_arguments_out_of_range_are_refused(p, i, copies, message):
+    for use in (build_lamplighter, lamplighter_socle):
+        with pytest.raises(UsageError, match=message):
+            use(p, i, copies)
 
 
 def test_float_prime_is_refused_after_an_equal_integer_is_cached():

@@ -16,6 +16,8 @@ from procyclic import (
     hopf_quotient,
     lamplighter_socle,
 )
+from procyclic.groups import _word_sums, greedy_walk
+from procyclic.homology import _minimal_generators
 
 
 def _is_abelian(g):
@@ -205,15 +207,70 @@ LOOP5 = np.array(
 
 
 def test_light_checks_every_kept_generator():
-    # Z/5 x LOOP5 with index z + 5 w: the walk keeps (1, 0) first, which
-    # associates with everything, and only the next kept element (0, 1) fails
+    # Z/5 x LOOP5 with index 24 - (z + 5 w): the walk goes highest first and
+    # keeps (1, 0) at 23 first, which associates with everything, and only
+    # the next kept element (0, 1), at 19, fails
     z, w = np.arange(25) % 5, np.arange(25) // 5
-    table = (z[:, None] + z[None, :]) % 5 + 5 * LOOP5[w[:, None], w[None, :]]
+    product = (z[:, None] + z[None, :]) % 5 + 5 * LOOP5[w[:, None], w[None, :]]
+    table = 24 - product[::-1, ::-1]
     assert not _exhaustive_associative(LOOP5)
     assert not _exhaustive_associative(table)
-    assert np.array_equal(table[table[:, 1]], table[:, table[1]])
-    with pytest.raises(UsageError, match="associativity fails at element 5"):
+    assert np.array_equal(table[table[:, 23]], table[:, table[23]])
+    with pytest.raises(UsageError, match="associativity fails at element 19"):
         FiniteGroup(5, table)
+
+
+def _burnside_rank(g):
+    """d(G) = log_p [G : [G,G]G^p]."""
+    index, d = g.order // len(g.commutator_p_subgroup()), 0
+    while index > 1:
+        index //= g.p
+        d += 1
+    return d
+
+
+WALKED_GROUPS = {
+    **{f"DL_{p}({i})": (build_lamplighter, p, i) for p, i in [(2, 1), (2, 2), (2, 3), (3, 1)]},
+    "DL_3(2)": (build_lamplighter, 3, 2),
+    "lamplighter(2,3,1)": (build_lamplighter, 2, 3, 1),
+    "Z/2^5": (cyclic_group, 2, 5),
+    "(Z/3)^3": (elementary_abelian, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKED_GROUPS))
+def test_light_walk_keeps_a_minimal_generating_set(name):
+    # highest first, the walk from {e} meets the builders' cyclic part (the
+    # top digits) early and keeps exactly d(G) witnesses
+    build, *args = WALKED_GROUPS[name]
+    g = build(*args)
+    reached = np.zeros(g.order, dtype=bool)
+    reached[g.identity] = True
+    kept = list(greedy_walk(g.table, reached))
+    assert len(kept) == _burnside_rank(g)
+    assert reached.all()
+    assert g.subgroup_closure(kept) == frozenset(range(g.order))
+
+
+@pytest.mark.parametrize("name", sorted(WALKED_GROUPS))
+def test_minimal_generators_generate(name):
+    build, *args = WALKED_GROUPS[name]
+    g = build(*args)
+    gens = _minimal_generators(g)
+    assert len(gens) == _burnside_rank(g)
+    assert g.subgroup_closure(gens) == frozenset(range(g.order))
+
+
+@pytest.mark.parametrize(
+    "p,width", [(2, w) for w in range(7)] + [(3, w) for w in range(5)] + [(5, 2), (257, 1)]
+)
+def test_word_sums_match_the_digitwise_formula(p, width):
+    words = np.arange(p**width)
+    digits = words[:, None] // p ** np.arange(width) % p
+    oracle = ((digits[:, None, :] + digits[None, :, :]) % p) @ (p ** np.arange(width))
+    table = _word_sums(p, width)
+    assert table.dtype == np.uint16
+    assert np.array_equal(table, oracle)
 
 
 def _lamplighter_table_oracle(p, i, copies):
