@@ -12,17 +12,21 @@ A product takes one of four exact kernels, chosen by the operands:
   product costs a few microseconds, nearly all of it call overhead;
 * N > 64 and an operand with at most four nonzero terms: shifted
   accumulation of the other operand in int64;
-* 64 < N <= 4096: ``np.convolve`` on float64 copies of the operands, each
+* 64 < N <= 768: ``np.convolve`` on float64 copies of the operands, each
   cut at its last nonzero coefficient.  Every term and every partial sum
-  is an integer below 4096 * (2^16)^2 = 2^44 < 2^53, so each float64
-  operation is exact and the result does not depend on summation order;
-* N > 4096: Kronecker substitution in base 10^w, where w is the number of
-  decimal digits of N * (p-1)^2.  Each coefficient of the product is at
-  most that bound, so the fields of width w never carry into each other.
-  The packed integers are multiplied by libmpdec (CPython's ``decimal``,
-  whose large products use a number-theoretic transform) in a context with
-  unbounded precision that traps ``Inexact`` and ``Rounded``: a rounded
-  product raises instead of returning a wrong series.
+  is an integer below 768 * (2^16)^2 < 2^53, so each float64 operation is
+  exact and the result does not depend on summation order;
+* N > 768: a float64 FFT product (``numpy.fft``, loaded on first use) of
+  the operands cut at their last nonzero terms, la and lb long, at length
+  L = 2^n >= la + lb - 1.  Each coefficient is split into the fewest k
+  limbs of w = ceil(bits(p-1) / k) bits with k * M * ((1+e)^(3n)
+  (1+e*sqrt(5))^(3n+1) (1+e)^(3n) - 1) <= 1/8, M = (2^w-1)^2 sqrt(la lb),
+  e = 2^-53.  By the floating-point FFT error bound (Percival, Math. Comp.
+  72, 2003; Brent & Zimmermann, Modern Computer Arithmetic, CUP 2010,
+  section 3.3.2) each of the 2k - 1 limb-product sums is then within 1/8
+  of an integer; they are rounded, reduced mod p and recombined with
+  2^(w*s) mod p.  An entry more than 1/4 from an integer raises
+  ArithmeticError, so a rounded product is never returned.
 
 ``mul_schoolbook`` (int64 convolution at any N) is the oracle for all of
 them.
@@ -40,6 +44,7 @@ precisions on purpose.
 from __future__ import annotations
 
 import json
+import math
 import re
 from functools import lru_cache
 
@@ -63,12 +68,11 @@ MAX_PRIME = 1 << 16
 INT64_CUTOFF = 64
 
 # At or below this precision products are float64 convolutions, exact while
-# SCHOOLBOOK_CUTOFF * (MAX_PRIME - 1)^2 < 2^53; above it libmpdec's
-# transform product is faster at every p.  At 4096 itself, dense operands
-# would be faster on the decimal path; the float path is exact whenever the
-# shorter trimmed operand has at most 4096 terms, so the choice could follow
-# trimmed support instead of N.
-SCHOOLBOOK_CUTOFF = 4096
+# SCHOOLBOOK_CUTOFF * (MAX_PRIME - 1)^2 < 2^53; above it the FFT product is
+# faster.  Dense products at p = 2, 3, 5 and 65521 cross over near 768: the
+# convolution is faster at 512 (50-80 us against 60-110 us on x86-64) and
+# slower at 1024 (140-210 us against 90-150 us).
+SCHOOLBOOK_CUTOFF = 768
 
 # Above INT64_CUTOFF, operands with at most this many nonzero terms are
 # multiplied by shifted accumulation instead of either dense path.
@@ -262,7 +266,7 @@ class TruncSeries:
         elif n <= SCHOOLBOOK_CUTOFF:
             prod = _convolve_float(self.coeffs, other.coeffs, p, n)
         else:
-            prod = _kronecker_decimal(self.coeffs, other.coeffs, p, n)
+            prod = _convolve_fft(self.coeffs, other.coeffs, p, n)
         return TruncSeries._reduced(p, prod)
 
     def __pow__(self, n: int) -> "TruncSeries":
@@ -371,50 +375,44 @@ def _convolve_float(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarr
     return out
 
 
-@lru_cache(maxsize=None)
-def _decimal_context():
-    """A libmpdec context in which integer products are exact or raise.
-
-    Imported on first use: only products above SCHOOLBOOK_CUTOFF need it.
-    """
-    import decimal
-
-    return decimal.Context(
-        prec=decimal.MAX_PREC,
-        Emax=decimal.MAX_EMAX,
-        Emin=decimal.MIN_EMIN,
-        traps=[decimal.Inexact, decimal.Rounded],
-    )
+def _limb_split(p: int, la: int, lb: int, n: int) -> tuple[int, int]:
+    """(k, w) of the module docstring's limb bound for an FFT product of length 2^n."""
+    bits = (p - 1).bit_length()
+    eps = 2.0**-53
+    growth = math.expm1(6 * n * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5)))
+    for k in range(1, bits + 1):
+        w = -(-bits // k)
+        if k * (2**w - 1) ** 2 * math.sqrt(la * lb) * growth <= 0.125:
+            return k, w
+    raise ArithmeticError(f"no limb width keeps an FFT product of length 2^{n} exact")
 
 
-def _to_decimal(c: np.ndarray, w: int, digits: int, ctx):
-    """The integer sum of c[i] * 10^(w*i), for 0 <= c[i] < 10^digits <= 10^w."""
-    text = np.full((c.size, w), ord("0"), dtype=np.uint8)
-    rest = c[::-1]
-    for col in range(w - 1, w - 1 - digits, -1):
-        rest, d = np.divmod(rest, 10)
-        text[:, col] += d.astype(np.uint8)
-    return ctx.create_decimal(text.tobytes().decode("ascii"))
-
-
-def _kronecker_decimal(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarray:
-    a, b = a[: _support_end(a)], b[: _support_end(b)]
-    # a product coefficient is at most prec * (p-1)^2 < 10^w, so the fields
-    # do not carry, and (for prec < 2^31) the Horner sums below fit int64
-    w = len(str(prec * (p - 1) ** 2))
-    digits = len(str(p - 1))
-    ctx = _decimal_context()
-    prod = ctx.multiply(_to_decimal(a, w, digits, ctx), _to_decimal(b, w, digits, ctx))
-    # the low m fields are the last m*w decimal digits, high field first
+def _convolve_fft(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarray:
+    # exact by the limb bound, or ArithmeticError: see the module docstring
+    square = b is a
+    a = a[: _support_end(a)]
+    b = a if square else b[: _support_end(b)]
     m = min(prec, a.size + b.size - 1)
-    text = str(prod)[-m * w :].rjust(m * w, "0").encode("ascii")
-    fields = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(m, w)
-    vals = np.zeros(m, dtype=np.int64)
-    for col in range(w):
-        vals *= 10
-        vals += fields[:, col]
+    size = 1 << (a.size + b.size - 2).bit_length()
+    k, w = _limb_split(p, a.size, b.size, size.bit_length() - 1)
+    mask = (1 << w) - 1
+    fa = [np.fft.rfft((a >> (w * i)) & mask, size) for i in range(k)]
+    fb = fa if square else [np.fft.rfft((b >> (w * i)) & mask, size) for i in range(k)]
     out = np.zeros(prec, dtype=np.int64)
-    out[:m] = vals[::-1] % p
+    for s in range(2 * k - 1):
+        lo, hi = max(0, s - k + 1), min(s, k - 1)
+        spec = fa[lo] * fb[s - lo]
+        for i in range(lo + 1, hi + 1):
+            spec += fa[i] * fb[s - i]
+        if s >= k - 1:
+            fa[lo] = fb[lo] = None  # the last sum that uses limb lo
+        y = np.fft.irfft(spec, size)[:m]
+        del spec
+        r = np.rint(y)
+        if np.abs(y - r).max() > 0.25:
+            raise ArithmeticError("FFT product is not within 1/4 of an integer")
+        out[:m] += r.astype(np.int64) % p * pow(2, w * s, p)
+    out[:m] %= p
     return out
 
 

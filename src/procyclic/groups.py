@@ -326,13 +326,21 @@ class GroupHom:
 # -- builders ----------------------------------------------------------
 
 
-def _check_order(order: int) -> None:
-    """ResourceLimitError if a table of this order exceeds the group budget."""
-    if order > max_group_order():
+def _check_order(p: int, e: int) -> int:
+    """p**e, or ResourceLimitError if a table of that order exceeds the group budget.
+
+    e is compared with log_p of the budget first, so a huge e is refused
+    without forming p**e; an order of over 3000 bits is written as p^e.
+    """
+    budget, e_max, power = max_group_order(), 0, p
+    while power <= budget:
+        e_max, power = e_max + 1, power * p
+    if e > e_max:
+        order = p**e if e * p.bit_length() <= 3000 else f"{p}^{e}"
         raise ResourceLimitError(
-            f"order {order} exceeds budget {max_group_order()} "
-            "(set PROCYCLIC_MAX_GROUP to raise it)"
+            f"order {order} exceeds budget {budget} (set PROCYCLIC_MAX_GROUP to raise it)"
         )
+    return p**e
 
 
 def cyclic_group(p: int, e: int) -> FiniteGroup:
@@ -341,11 +349,11 @@ def cyclic_group(p: int, e: int) -> FiniteGroup:
     e = exact_int(e, "exponent")
     if e < 0:
         raise UsageError("exponent must be nonnegative")
-    m = p**e
-    _check_order(m)
-    idx = np.arange(m)
-    table = (idx[:, None] + idx[None, :]) % m
-    return FiniteGroup(p, table.astype(np.uint16), generator_names=("g",))
+    m = _check_order(p, e)
+    # row i is the window at i of 0..m-1 written twice: (i + j) mod m
+    twice = np.tile(np.arange(m, dtype=np.uint16), 2)
+    table = np.lib.stride_tricks.sliding_window_view(twice, m)[:m].copy()
+    return FiniteGroup(p, table, generator_names=("g",))
 
 
 def elementary_abelian(p: int, r: int) -> FiniteGroup:
@@ -354,7 +362,7 @@ def elementary_abelian(p: int, r: int) -> FiniteGroup:
     r = exact_int(r, "rank")
     if r < 0:
         raise UsageError("rank must be nonnegative")
-    _check_order(p**r)
+    _check_order(p, r)
     names = tuple(f"e{j+1}" for j in range(r))
     return FiniteGroup(p, _word_sums(p, r), generator_names=names)
 
@@ -397,9 +405,8 @@ def build_lamplighter(p: int, i: int, copies: int = 2) -> FiniteGroup:
     """
     p, i, copies = _lamplighter_shape(p, i, copies)
     width = i * copies
+    order = _check_order(p, width + i)
     words, cyclic_order = p**width, p**i
-    order = words * cyclic_order
-    _check_order(order)
     t_action = np.eye(i, dtype=np.int64) + (p - 1) * np.eye(i, k=-1, dtype=np.int64)
     action = np.kron(np.eye(copies, dtype=np.int64), t_action)
     weights = p ** np.arange(width)

@@ -154,6 +154,16 @@ def test_h2_resource_exit_code(capsys):
     assert "resource" in err
 
 
+def test_h2_huge_exponent_exits_3_with_one_line(capsys, monkeypatch):
+    monkeypatch.delenv("PROCYCLIC_MAX_GROUP", raising=False)
+    code, out, err = run_cli(capsys, "h2", "--group", "cyclic", "--p", "2", "--i", "20000")
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource limit: order 2^20000 exceeds budget 4096 "
+        "(set PROCYCLIC_MAX_GROUP to raise it)\n"
+    )
+
+
 def test_tower(capsys):
     code, out, _ = run_cli(capsys, "tower", "--p", "2", "--imax", "1", "--json")
     assert code == 0

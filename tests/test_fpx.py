@@ -1,8 +1,11 @@
 """Series arithmetic: oracle comparisons, ring axioms, and edge cases."""
 
-import decimal
+import os
 import random
+import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from procyclic import (
     render_series,
     validate_prime,
 )
-from procyclic import fpx
+from procyclic import cli, fpx
 
 PRIMES = (2, 3, 5, 7)
 
@@ -107,7 +110,7 @@ def test_int64_products_match_schoolbook_at_every_small_precision(p):
                 assert not np.shares_memory(got.coeffs, a.coeffs)
 
 
-@pytest.mark.parametrize("prec", [3, fpx.INT64_CUTOFF + 1, fpx.SCHOOLBOOK_CUTOFF + 1])
+@pytest.mark.parametrize("prec", [3, fpx.INT64_CUTOFF + 1, fpx.SCHOOLBOOK_CUTOFF + 1, 4097])
 def test_product_usage_errors_are_pinned(prec):
     a = TruncSeries.one(3, prec)
     with pytest.raises(UsageError, match=r"^mixed primes 3 and 5$"):
@@ -150,8 +153,11 @@ def kernel_operands(rng, p, prec):
     [
         fpx.INT64_CUTOFF,
         fpx.INT64_CUTOFF + 1,
+        fpx.SCHOOLBOOK_CUTOFF - 1,
         fpx.SCHOOLBOOK_CUTOFF,
         fpx.SCHOOLBOOK_CUTOFF + 1,
+        4096,  # the FFT length doubles between 4096 and 4097
+        4097,
     ],
 )
 def test_dense_kernels_match_schoolbook_at_every_cutoff(p, prec):
@@ -167,26 +173,75 @@ def test_float_convolution_is_exact_up_to_the_cutoff():
     assert fpx.INT64_CUTOFF < fpx.SCHOOLBOOK_CUTOFF
 
 
-def test_decimal_product_raises_instead_of_rounding(monkeypatch):
-    p, prec = 3, fpx.SCHOOLBOOK_CUTOFF + 1
+@pytest.mark.parametrize("p", [3, 65521])  # one limb and two limbs at 4097
+def test_fft_product_raises_instead_of_rounding(p, monkeypatch):
     rng = random.Random(5)
-    a, b = random_series(rng, p, prec), random_series(rng, p, prec)
-    short = decimal.Context(prec=50, traps=[decimal.Inexact, decimal.Rounded])
-    monkeypatch.setattr(fpx, "_decimal_context", lambda: short)
-    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+    a, b = random_series(rng, p, 4097), random_series(rng, p, 4097)
+    irfft = np.fft.irfft
+
+    def perturbed(*args, **kwargs):
+        y = irfft(*args, **kwargs)
+        y[0] += 0.4
+        return y
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    with pytest.raises(ArithmeticError):
         a * b
 
 
-def test_decimal_is_the_c_accelerator():
-    # the pure-Python _pydecimal would make products above the cutoff crawl
-    import _decimal
+@pytest.mark.parametrize("p", [2, 3, 257, 65521])
+def test_fft_square_of_the_largest_norm_series(p):
+    # (p-1)^2 (1 + x + x^2 + ...)^2 has coefficient (p-1)^2 (k+1) = k+1 mod p
+    prec = cli.MAX_PREC
+    top = TruncSeries(p, np.full(prec, p - 1), prec)
+    expected = TruncSeries(p, np.arange(1, prec + 1) % p, prec)
+    assert top * top == expected
+    assert top * TruncSeries(p, top.coeffs.copy(), prec) == expected
 
-    assert isinstance(fpx._decimal_context(), _decimal.Context)
-    assert sys.modules["decimal"].Context is _decimal.Context
+
+@pytest.mark.parametrize("p", [2, 3, 251, 257, 65521])
+@pytest.mark.parametrize("prec", [fpx.SCHOOLBOOK_CUTOFF + 1, 4096, 65536, 2**20])
+def test_limb_split_meets_the_fft_error_bound(p, prec):
+    # the bound in exact rationals, sqrt(5) rounded up, for dense operands
+    eps, sqrt5 = Fraction(1, 2**53), Fraction(2236068, 10**6)
+    n = (2 * prec - 2).bit_length()  # 2^n >= 2 prec - 1
+    growth = (1 + eps) ** (6 * n) * (1 + eps * sqrt5) ** (3 * n + 1) - 1
+    bits = (p - 1).bit_length()
+
+    def error(k):
+        w = -(-bits // k)
+        return k * (2**w - 1) ** 2 * prec * growth
+
+    k, w = fpx._limb_split(p, prec, prec, n)
+    assert w == -(-bits // k)
+    assert error(k) <= Fraction(1, 8)
+    assert k == 1 or error(k - 1) > Fraction(1, 8)
+
+
+def test_import_loads_no_fft_until_a_product_needs_it():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "import procyclic, procyclic.cli\n"
+        "print('decimal' in sys.modules, 'numpy.fft' in sys.modules)\n"
+        "n = procyclic.fpx.SCHOOLBOOK_CUTOFF\n"
+        "f = procyclic.TruncSeries(3, [1, 2] * n, n)\n"
+        "f * f\n"
+        "print('numpy.fft' in sys.modules)\n"
+        "f = procyclic.TruncSeries(3, [1, 2] * n, n + 1)\n"
+        "f * f\n"
+        "print('numpy.fft' in sys.modules, 'decimal' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split("\n") == ["False False", "False", "True False", ""]
 
 
 @pytest.mark.parametrize("p", [2, 3, 65521])
-@pytest.mark.parametrize("prec", [1, 5, 300, 4097])  # 300 float, 4097 decimal
+@pytest.mark.parametrize("prec", [1, 5, 300, 4097])  # 300 float, 4097 FFT
 def test_results_are_reduced_read_only_and_own_their_coefficients(p, prec):
     rng = random.Random(prec)
     a, b, u = random_series(rng, p, prec), random_series(rng, p, prec), random_unit(rng, p, prec)

@@ -1,6 +1,8 @@
 """Table groups: builders, axioms, subgroup machinery, Hopf quotients."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +69,43 @@ def test_lamplighter_level_two_double_nonabelian_with_central_socle():
     center = _center(g)
     assert lamplighter_socle(2, 2, 2, 0) <= center
     assert lamplighter_socle(2, 2, 2, 1) <= center
+
+
+@pytest.mark.parametrize(
+    "p, e, digest",
+    [
+        (2, 12, "2f8ae49cef99b0d9b28eebf8ae0b42cee7846c5d69c27d2f05dc48ff48a958f5"),
+        (3, 7, "859e51f346c891a063f1ed52bd2f105dcfff4c1cebf7bdf67b69d37fce926ce3"),
+        (5, 5, "179b881e2d37c4c4ba0ab81b68ec8cd936ed79bcaabb7c124f6132640be010e3"),
+    ],
+)
+def test_cyclic_tables_are_pinned(p, e, digest):
+    # the sha256 of the uint16 table (i + j) mod p^e, as built from int64 sums
+    assert hashlib.sha256(cyclic_group(p, e).table.tobytes()).hexdigest() == digest
+
+
+def test_cyclic_group_builds_no_wide_temporaries():
+    # the 4096 x 4096 uint16 table is 32 MB; int64 sums of it took 256 MB
+    tracemalloc.start()
+    try:
+        cyclic_group(2, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20, peak
+
+
+def test_huge_exponent_is_refused_without_forming_the_order(monkeypatch):
+    monkeypatch.delenv("PROCYCLIC_MAX_GROUP", raising=False)
+    tail = r" exceeds budget 4096 \(set PROCYCLIC_MAX_GROUP to raise it\)$"
+    with pytest.raises(ResourceLimitError, match=r"^order 2\^10000000" + tail):
+        cyclic_group(2, 10**7)
+    with pytest.raises(ResourceLimitError, match=r"^order 8192" + tail):
+        cyclic_group(2, 13)
+    with pytest.raises(ResourceLimitError, match=r"^order 3\^10000" + tail):
+        elementary_abelian(3, 10**4)
+    with pytest.raises(ResourceLimitError, match=r"^order 32768" + tail):
+        build_lamplighter(2, 5, 2)
 
 
 def test_lamplighter_order_formula():

@@ -22,7 +22,8 @@ def _frobenius_rows_from_scratch(primes, i_max, prec):
 
 
 @pytest.mark.parametrize(
-    "prec", [1, 2, 5, fpx.INT64_CUTOFF + 1, fpx.SCHOOLBOOK_CUTOFF, fpx.SCHOOLBOOK_CUTOFF + 1]
+    "prec",
+    [1, 2, 5, fpx.INT64_CUTOFF + 1, fpx.SCHOOLBOOK_CUTOFF, fpx.SCHOOLBOOK_CUTOFF + 1, 4096, 4097],
 )
 def test_frobenius_chain_matches_powering_from_scratch(prec):
     section = section_frobenius(primes=(2, 3, 5), i_max=10, prec=prec)
