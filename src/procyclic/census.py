@@ -19,31 +19,42 @@ Everything runs on int64 coefficient arrays, one row per series:
 * The powers (1-x)^m come from the recurrence row_{m+1} = row_m minus
   row_m shifted up by one, one numpy operation per row.
 * Numerators and denominators are (p^(in) x prec) arrays built by
-  broadcasting alpha_j * A over the census rows A.  Each distinct
-  admissible denominator x^v * u costs one inversion of u and one matmul:
-  the numerators divisible by x^v, shifted down by v, times the
-  upper-triangular Toeplitz matrix of u^(-1).  A product entry is a sum of
-  at most prec terms below p^2 <= prec^2, and MAX_CENSUS_WORK caps
-  prec^4 <= p^(2i(n+1)) at 2^32, so it stays under prec^3 <= 2^24 < 2^63
-  and the int64 matmul is exact; the bound is checked with a raise before
-  any product.  The top v coefficients of a solution are free, so each
-  product row stands for the p^v packed words base + q * p^(prec - v),
-  q < p^v.
+  broadcasting alpha_j * A over the census rows A.  The distinct
+  admissible denominators x^v * u are handled one valuation v at a time.
+  The unit parts
+  of a class are inverted together by the column recurrence
+  b_0 = u_0^(-1), b_j = -b_0 * sum_{l=1..j} u_l b_(j-l) mod p, one numpy
+  step per coefficient.  Then, in chunks of a few denominators, the
+  numerators divisible by x^v (shifted down by v) are multiplied by the
+  stacked upper-triangular Toeplitz matrices of the inverses in one
+  matmul, and the product rows are packed in one call.  A partial sum of
+  the recurrence and a product entry are both sums of at most prec terms
+  below p^2, so they stay under prec * (p-1)^2; MAX_CENSUS_WORK caps
+  prec^4 <= p^(2i(n+1)) at 2^32, so that is below prec^3 <= 2^24 < 2^63
+  and int64 is exact.  The bound is checked with a raise before any
+  product.  Each chunk's product holds at most _CHUNK_ENTRIES int64
+  entries.  The top v coefficients of a solution are free, so each
+  distinct packed word of a class stands for the p^v words
+  base + q * p^(prec - v), q < p^v.
 
 Sets are stored as hash sets of packed words: a series is packed as the
-integer sum(c_j * p^j).  ``_pack_rows`` packs many rows at once: b digits
-at a time into int64 limbs, with b the largest width that keeps p^b below
-2^62, by one matmul against the powers of p, then Horner over the limbs
-in Python integers.  Rows are generated and packed in blocks of
-_BLOCK_ROWS, so no prec x prec array is ever held; at level (2, 10) that
-array would be 8 MB, and 256-row blocks raise the peak RSS of the
-benchmark's census pass by about 3.4 MB against 16-row blocks.
+integer sum(c_j * p^j).  ``_pack_rows`` packs many rows at once.  A row
+of at most b digits, with b the largest width that keeps p^b below 2^62,
+is one matmul against the powers of p (cached per p).  At p = 2 a longer
+row is its bit pattern: np.packbits and int.from_bytes.  At odd p a
+longer row is cut into b-digit int64 limbs by one matmul, and the limbs
+are joined by Horner in Python integers.  The census rows are generated
+and packed in blocks of _BLOCK_ROWS, so no prec x prec array is ever
+held; at level (2, 10) that array would be 8 MB, and 256-row blocks raise
+the peak RSS of the benchmark's census pass by about 3.4 MB against
+16-row blocks.
 
 The work of a ratio set grows as p^(2i(n+1)), and its arrays as
 p^(i(n+1)).  Calls above MAX_CENSUS_WORK = 2^32 are refused with
 ResourceLimitError before anything is allocated.  Measured on one core
-of a 2-CPU machine at p = 2: n = 2, i = 5 (2^30) 0.5 s; n = 3, i = 4
-(2^32) 0.8 s; n = 1, i = 8 (2^32) 8 s; n = 2, i = 6 (2^36) 12 s.  Past
+of a 2-CPU machine at p = 2: n = 2, i = 5 (2^30) 0.14 s; n = 3, i = 4
+(2^32) 0.17 s; n = 1, i = 8 (2^32) 6.4 s, nearly all of it int64
+matmuls at width 255; n = 2, i = 6 (2^36, budget raised) 9.7 s.  Past
 the budget the arrays grow quickly: n = 3, i = 8 would need a 32 GB
 numerator array.
 
@@ -57,6 +68,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,6 +97,8 @@ MAX_CENSUS_BITS = 1 << 28
 
 # rows generated and packed at a time; bounds the transient arrays
 _BLOCK_ROWS = 16
+# int64 entries of one ratio-set product chunk (32 KiB)
+_CHUNK_ENTRIES = 1 << 12
 
 
 def pack_series(f: TruncSeries) -> int:
@@ -130,19 +144,30 @@ class CensusSet:
             yield unpack_series(self.p, self.prec, value)
 
 
-def _limb_digits(p: int) -> int:
-    """The largest b with p^b < 2^62: digits per int64 limb."""
+@lru_cache(maxsize=16)
+def _limb_powers(p: int) -> np.ndarray:
+    """p^0 .. p^(b-1) for the largest b with p^b < 2^62: one int64 limb's digits."""
     b = 1
     while p ** (b + 1) < 1 << 62:
         b += 1
-    return b
+    powers = np.int64(p) ** np.arange(b, dtype=np.int64)
+    powers.flags.writeable = False
+    return powers
 
 
 def _pack_rows(rows: np.ndarray, p: int) -> list[int]:
     """pack_series of every row of a 2-D array of digits in [0, p)."""
     count, length = rows.shape
-    b = _limb_digits(p)
-    powers = np.int64(p) ** np.arange(b, dtype=np.int64)
+    powers = _limb_powers(p)
+    b = powers.size
+    if length <= b:
+        return (rows @ powers[:length]).tolist()
+    if p == 2:
+        # the word is the row's bit pattern, lowest coefficient first
+        packed = np.packbits(rows.astype(bool), axis=1, bitorder="little")
+        width = packed.shape[1]
+        data = packed.tobytes()
+        return [int.from_bytes(data[s : s + width], "little") for s in range(0, len(data), width)]
     full = length // b * b
     limbs = list((rows[:, :full].reshape(count, full // b, b) @ powers).T.astype(object))
     if full < length:
@@ -172,19 +197,38 @@ def _power_blocks(p: int, prec: int):
         yield block
 
 
+def check_enum_budget(p: int, i: int) -> int:
+    """p^i, or ResourceLimitError if enum_A(p, i) holds over MAX_CENSUS_BITS bits.
+
+    i is compared with the highest level the budget admits first, so a
+    huge level is refused without forming p^i; past 64 bits the word
+    count is written as p^i.
+    """
+    digit_bits = (p - 1).bit_length()
+    top, prec = 0, p
+    while prec * prec * digit_bits <= MAX_CENSUS_BITS:
+        top, prec = top + 1, prec * p
+    if i <= top:
+        return p**i
+    if i * p.bit_length() > 64:
+        raise ResourceLimitError(
+            f"census at p={p}, level {i} holds {p}^{i} words of {p}^{i} digits, "
+            f"over {MAX_CENSUS_BITS} bits"
+        )
+    prec = p**i
+    raise ResourceLimitError(
+        f"census at p={p}, level {i} holds {prec} words of {prec} digits, "
+        f"{prec * prec * digit_bits} bits > {MAX_CENSUS_BITS}"
+    )
+
+
 def enum_A(p: int, i: int) -> CensusSet:
     """All powers (1-x)^m mod x^(p^i); exactly p^i distinct elements."""
     p = validate_prime(p)
     i = exact_int(i, "census level")
     if i < 1:
         raise UsageError("census level must be >= 1")
-    prec = p**i
-    bits = prec * prec * (p - 1).bit_length()
-    if bits > MAX_CENSUS_BITS:
-        raise ResourceLimitError(
-            f"census at p={p}, level {i} holds {prec} words of {prec} digits, "
-            f"{bits} bits > {MAX_CENSUS_BITS}"
-        )
+    prec = check_enum_budget(p, i)
     elements = frozenset(
         itertools.chain.from_iterable(_pack_rows(b, p) for b in _power_blocks(p, prec))
     )
@@ -230,12 +274,32 @@ def _distinct(rows: np.ndarray, p: int) -> dict[int, list[int]]:
     return groups
 
 
-def _toeplitz(coeffs: np.ndarray) -> np.ndarray:
-    """T with T[a, b] = coeffs[b - a] for b >= a, else 0: row @ T multiplies."""
-    w = coeffs.size
-    padded = np.concatenate([np.zeros(w - 1, dtype=np.int64), coeffs])
+def _unit_inverses(units: np.ndarray, p: int) -> np.ndarray:
+    """The inverse mod x^w of each row of a (count x w) array of units mod p.
+
+    Column recurrence b_0 = u_0^(-1), b_j = -b_0 * sum_{l=1..j} u_l b_(j-l),
+    one vectorised step per column.  A partial sum has fewer than w terms
+    below p^2, so it stays under prec * (p-1)^2 < 2^63, which _ratio_scan
+    checks before any product.
+    """
+    w = units.shape[1]
+    table = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
+    out = np.empty_like(units)
+    out[:, 0] = table[units[:, 0]]
+    minus_b0 = p - out[:, 0]
+    for j in range(1, w):
+        total = np.einsum("rl,rl->r", units[:, 1 : j + 1], out[:, j - 1 :: -1])
+        out[:, j] = total % p * minus_b0 % p
+    return out
+
+
+def _toeplitz_stack(coeffs: np.ndarray) -> np.ndarray:
+    """T[r] with T[r, a, b] = coeffs[r, b - a] for b >= a, else 0: row @ T[r] multiplies."""
+    count, w = coeffs.shape
+    padded = np.zeros((count, 2 * w - 1), dtype=np.int64)
+    padded[:, w - 1 :] = coeffs
     idx = np.arange(w)
-    return padded[(w - 1) + idx[None, :] - idx[:, None]]
+    return padded[:, (w - 1) + idx[None, :] - idx[:, None]]
 
 
 def _ratio_scan(p: int, alpha, beta, k: int, i: int):
@@ -255,26 +319,36 @@ def _ratio_scan(p: int, alpha, beta, k: int, i: int):
     num_vals = _valuations(nums)
     den_vals = _valuations(dens)
 
-    solutions: set[int] = set()
+    # distinct admissible denominators, by valuation
+    classes: dict[int, list[int]] = {}
     pairs_scanned = 0
-    max_solutions = 0
     for idx, mult in _distinct(dens, p).values():
         pairs_scanned += mult * num_count
         v = int(den_vals[idx])
-        if v >= pk:
-            continue  # denominator inside (x^(p^k)): not admissible
-        divisible = nums[num_vals >= v]  # x^v must divide the numerator
+        if v < pk:  # else the denominator lies in (x^(p^k)): not admissible
+            classes.setdefault(v, []).append(idx)
+
+    solutions: set[int] = set()
+    max_solutions = 0
+    for v, idxs in classes.items():
+        divisible = nums[num_vals >= v, v:]  # x^v must divide the numerator
         if not len(divisible):
             continue
         max_solutions = max(max_solutions, p**v)
         w = prec - v
-        unit_inv = TruncSeries(p, dens[idx, v:], w).invert()
-        base = (divisible[:, v:] @ _toeplitz(unit_inv.coeffs)) % p
-        # every solution agrees with base below degree w; the top v
+        inverses = _unit_inverses(dens[idxs, v:], p)
+        chunk = max(1, _CHUNK_ENTRIES // (max(len(divisible), w) * w))
+        words: set[int] = set()
+        for start in range(0, len(inverses), chunk):
+            product = divisible @ _toeplitz_stack(inverses[start : start + chunk])
+            np.remainder(product, p, out=product)
+            words.update(_pack_rows(product.reshape(-1, w), p))
+        # every solution agrees with a word below degree w; the top v
         # coefficients are free (the annihilator of x^v)
+        solutions |= words
         step = p**w
-        for word in set(_pack_rows(base, p)):
-            solutions.update(range(word, word + step * p**v, step))
+        for offset in range(step, step * p**v, step):
+            solutions.update([word + offset for word in words])
     return solutions, pairs_scanned, max_solutions
 
 

@@ -18,7 +18,7 @@ import sys
 from functools import lru_cache
 
 from . import __version__
-from .census import density_gap, enum_A
+from .census import check_enum_budget, density_gap, enum_A
 from .cycmod import check_module_dim
 from .errors import ResourceLimitError, SearchExhaustedError, UsageError
 from .fpx import TruncSeries, parse_series, render_series, validate_prime
@@ -208,6 +208,10 @@ def _cmd_density_gap(args):
     p = validate_prime(args.p)
     if args.s < 0:
         raise UsageError("s must be >= 0")
+    if args.imax < 1:
+        raise UsageError("imax must be >= 1")
+    # the first level's census must fit before anything of size p**s is built
+    check_enum_budget(p, args.s + 1)
     f = parse_series(args.f, p, p**args.s) if args.f else TruncSeries.zero(p, max(2, p**args.s))
     try:
         result = density_gap(lambda level: enum_A(p, level), f, args.s, args.imax)

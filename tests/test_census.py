@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from procyclic import (
     pack_series,
     unpack_series,
 )
-from procyclic.census import _pack_rows, _ratio_scan, check_census_budget
+import procyclic.census
+from procyclic.census import (
+    _pack_rows,
+    _ratio_scan,
+    _toeplitz_stack,
+    _unit_inverses,
+    check_census_budget,
+)
 
 
 def ratio_set_oracle(p, alpha, beta, k, i):
@@ -188,7 +196,7 @@ def test_enum_A_bit_budget_refuses_before_any_work(monkeypatch):
 
 @pytest.mark.parametrize(
     "p,prec",
-    [(2, n) for n in (1, 61, 62, 63, 64, 128)]
+    [(2, n) for n in (1, 7, 9, 61, 62, 63, 64, 128, 1023, 1024)]
     + [(3, n) for n in (39, 40, 81)]
     + [(65521, n) for n in (3, 4, 5)],
 )
@@ -203,6 +211,22 @@ def test_pack_rows_matches_pack_series(p, prec):
     )
     expected = [pack_series(TruncSeries(p, row, prec)) for row in rows]
     assert _pack_rows(rows, p) == expected
+
+
+def _traced_peak(call):
+    call()  # warm: caches and lazy imports are not counted
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enum_A_peak_memory():
+    # 0.37 MB traced: 1024 words of 1024 bits and 16-row blocks; a bound on
+    # the transient arrays behind the census workload's peak RSS
+    assert _traced_peak(lambda: enum_A(2, 10)) <= 512 * 1024
 
 
 def test_pack_unpack_roundtrip():
@@ -240,6 +264,8 @@ def _ratio_grid():
                     yield p, [1] * n, [1] * n, k, i
 
 
+# (2, [1, 1], [1, 1], 1, 4) from the grid spans more than one product chunk
+# in its valuation-1 class: test_ratio_set_chunks_split_a_valuation_class
 RATIO_CASES = list(_ratio_grid()) + [
     (3, [1, 0], [2, 1], 1, 2),
     (2, [0, 1], [1, 1], 1, 3),
@@ -259,6 +285,51 @@ def test_ratio_set_matches_per_pair_loop(p, alpha, beta, k, i):
     assert _ratio_scan(p, alpha, beta, k, i) == (solutions, pairs, max_solutions)
     assert pairs == p ** (2 * i * len(alpha))
     assert census_ratio_set(p, alpha, beta, k, i).elements == frozenset(solutions)
+
+
+def test_ratio_set_chunks_split_a_valuation_class(monkeypatch):
+    shapes = []
+
+    def recorded(coeffs):
+        shapes.append(coeffs.shape)
+        return _toeplitz_stack(coeffs)
+
+    monkeypatch.setattr(procyclic.census, "_toeplitz_stack", recorded)
+    _ratio_scan(2, [1, 1], [1, 1], 1, 4)
+    # every admissible denominator has valuation 1 (width 15), in several chunks
+    assert {w for _, w in shapes} == {15}
+    assert len(shapes) > 1
+    assert sum(count for count, _ in shapes) == 64
+
+
+@pytest.mark.parametrize("entries", (1, 1 << 30))
+@pytest.mark.parametrize(
+    "p,alpha,beta,k,i",
+    ((2, [1, 1], [1, 1], 1, 3), (3, [1, 1], [1, 2], 1, 2), (2, [1], [1], 2, 3), (5, [1, 1], [1, 4], 1, 1)),
+)
+def test_ratio_set_independent_of_chunk_size(p, alpha, beta, k, i, entries, monkeypatch):
+    # one denominator per chunk, and one chunk per valuation class
+    expected = _ratio_set_per_pair(p, alpha, beta, k, i)
+    monkeypatch.setattr(procyclic.census, "_CHUNK_ENTRIES", entries)
+    assert _ratio_scan(p, alpha, beta, k, i) == expected
+
+
+def test_ratio_set_peak_memory():
+    # 0.24 MB traced with 32 KiB product chunks; a bound on the transient
+    # arrays behind the census workload's peak RSS
+    assert _traced_peak(lambda: census_ratio_set(2, [1, 1], [1, 1], 1, 4)) <= 512 * 1024
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("w", (1, 2, 16, 27, 81))
+def test_unit_inverses_match_invert(p, w):
+    rng = np.random.default_rng(p * 100 + w)
+    units = rng.integers(0, p, size=(2 * p, w))
+    # the constant terms run through every unit of F_p, not only 1
+    units[:, 0] = np.arange(2 * p) % (p - 1) + 1
+    inverses = _unit_inverses(units, p)
+    for unit, inverse in zip(units, inverses):
+        assert np.array_equal(inverse, TruncSeries(p, unit, w).invert().coeffs)
 
 
 def test_ratio_set_zero_alpha_contains_zero():

@@ -122,6 +122,58 @@ def test_enum_A_over_budget_exits_3_before_any_work(argv, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    (
+        (
+            ["--p", "65521", "--s", "0"],
+            "census at p=65521, level 1 holds 65521 words of 65521 digits, "
+            "68688023056 bits > 268435456",
+        ),
+        (
+            ["--p", "2", "--s", "15", "--json"],
+            "census at p=2, level 16 holds 65536 words of 65536 digits, 4294967296 bits > 268435456",
+        ),
+        (
+            ["--p", "2", "--s", "30"],
+            "census at p=2, level 31 holds 2147483648 words of 2147483648 digits, "
+            "4611686018427387904 bits > 268435456",
+        ),
+        (
+            ["--p", "2", "--s", "20000"],
+            "census at p=2, level 20001 holds 2^20001 words of 2^20001 digits, over 268435456 bits",
+        ),
+        (
+            ["--p", "3", "--s", "20000", "--f", "1 + x", "--json"],
+            "census at p=3, level 20001 holds 3^20001 words of 3^20001 digits, over 268435456 bits",
+        ),
+    ),
+)
+def test_density_gap_level_over_budget_exits_3_before_the_center_is_built(
+    argv, message, capsys, monkeypatch
+):
+    import procyclic.cli
+
+    def no_series(*args):
+        raise AssertionError("a series of size p**s was built")
+
+    monkeypatch.setattr(procyclic.cli, "parse_series", no_series)
+    monkeypatch.setattr(procyclic.cli.TruncSeries, "zero", no_series)
+    code, out, err = run_cli(capsys, "density-gap", *argv, "--imax", "1")
+    assert code == 3
+    assert out == ""
+    assert err == f"resource limit: {message}\n"
+
+
+def test_density_gap_usage_errors_come_before_the_budget(capsys):
+    for argv, message in (
+        (["--s", "-1"], "s must be >= 0"),
+        (["--s", "20000", "--imax", "0"], "imax must be >= 1"),
+    ):
+        code, out, err = run_cli(capsys, "density-gap", "--p", "2", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_density_gap(capsys):
     code, out, _ = run_cli(capsys, "density-gap", "--p", "2", "--s", "1", "--imax", "4", "--json")
     assert code == 0
