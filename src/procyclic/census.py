@@ -24,18 +24,17 @@ Everything runs on int64 coefficient arrays, one row per series:
   The unit parts
   of a class are inverted together by the column recurrence
   b_0 = u_0^(-1), b_j = -b_0 * sum_{l=1..j} u_l b_(j-l) mod p, one numpy
-  step per coefficient.  Then, in chunks of a few denominators, the
-  numerators divisible by x^v (shifted down by v) are multiplied by the
-  stacked upper-triangular Toeplitz matrices of the inverses in one
-  matmul, and the product rows are packed in one call.  A partial sum of
-  the recurrence and a product entry are both sums of at most prec terms
-  below p^2, so they stay under prec * (p-1)^2; MAX_CENSUS_WORK caps
-  prec^4 <= p^(2i(n+1)) at 2^32, so that is below prec^3 <= 2^24 < 2^63
-  and int64 is exact.  The bound is checked with a raise before any
-  product.  Each chunk's product holds at most _CHUNK_ENTRIES int64
-  entries.  The top v coefficients of a solution are free, so each
-  distinct packed word of a class stands for the p^v words
-  base + q * p^(prec - v), q < p^v.
+  step per coefficient.  A partial sum of the recurrence has at most
+  prec terms below p^2, so it stays under prec * (p-1)^2; MAX_CENSUS_WORK
+  caps prec^4 <= p^(2i(n+1)) at 2^32, so that is below prec^3 <= 2^24 <
+  2^63 and int64 is exact, which is checked with a raise.  Then, in
+  chunks of a few denominators, the numerators divisible by x^v (shifted
+  down by v) are multiplied by the stacked upper-triangular Toeplitz
+  matrices of the inverses in one exact float64 product,
+  linfp.matmul_mod, and the product rows are packed in one call.  Each
+  chunk's product holds at most _CHUNK_ENTRIES entries.  The top v
+  coefficients of a solution are free, so each distinct packed word of a
+  class stands for the p^v words base + q * p^(prec - v), q < p^v.
 
 Sets are stored as hash sets of packed words: a series is packed as the
 integer sum(c_j * p^j).  ``_pack_rows`` packs many rows at once.  A row
@@ -52,10 +51,10 @@ the peak RSS of the benchmark's census pass by about 3.4 MB against
 The work of a ratio set grows as p^(2i(n+1)), and its arrays as
 p^(i(n+1)).  Calls above MAX_CENSUS_WORK = 2^32 are refused with
 ResourceLimitError before anything is allocated.  Measured on one core
-of a 2-CPU machine at p = 2: n = 2, i = 5 (2^30) 0.14 s; n = 3, i = 4
-(2^32) 0.17 s; n = 1, i = 8 (2^32) 6.4 s, nearly all of it int64
-matmuls at width 255; n = 2, i = 6 (2^36, budget raised) 9.7 s.  Past
-the budget the arrays grow quickly: n = 3, i = 8 would need a 32 GB
+of a 2-CPU machine at p = 2 (best of 3, BLAS on one thread): n = 2,
+i = 5 (2^30) 0.044 s; n = 3, i = 4 (2^32) 0.053 s; n = 1, i = 8 (2^32)
+0.47 s; n = 2, i = 6 (2^36, budget raised, one run) 2.7 s.  Past the
+budget the arrays grow quickly: n = 3, i = 8 would need a 32 GB
 numerator array.
 
 The density-gap search scans coset representatives in lexicographic
@@ -74,6 +73,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, SearchExhaustedError, UsageError, exact_int, exact_ints
 from .fpx import LaurentTrunc, TruncSeries, validate_prime
+from .linfp import matmul_mod
 
 __all__ = [
     "CensusSet",
@@ -239,12 +239,19 @@ def enum_A(p: int, i: int) -> CensusSet:
 
 
 def check_census_budget(p: int, n: int, i: int) -> None:
-    """Refuse a level-i ratio set with n terms whose work p^(2i(n+1)) is too big."""
+    """Refuse a level-i ratio set with n terms whose work p^(2i(n+1)) is too big.
+
+    Exponents are compared, so a huge level is refused without forming p^e.
+    """
     p = validate_prime(p)
     if n < 1:
         raise UsageError("alpha and beta must have equal positive length")
-    work = p ** (2 * i * (n + 1))
-    if work > MAX_CENSUS_WORK:
+    top, work = 0, p
+    while work <= MAX_CENSUS_WORK:
+        top, work = top + 1, work * p
+    e = 2 * i * (n + 1)
+    if e > top:
+        work = p**e if e <= 64 and p**e <= 1 << 64 else f"{p}^{e}"
         raise ResourceLimitError(
             f"census ratio set at p={p}, n={n}, i={i} needs p^(2i(n+1)) = {work} "
             f"steps > {MAX_CENSUS_WORK}"
@@ -280,7 +287,7 @@ def _unit_inverses(units: np.ndarray, p: int) -> np.ndarray:
     Column recurrence b_0 = u_0^(-1), b_j = -b_0 * sum_{l=1..j} u_l b_(j-l),
     one vectorised step per column.  A partial sum has fewer than w terms
     below p^2, so it stays under prec * (p-1)^2 < 2^63, which _ratio_scan
-    checks before any product.
+    checks first.
     """
     w = units.shape[1]
     table = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
@@ -310,7 +317,7 @@ def _ratio_scan(p: int, alpha, beta, k: int, i: int):
     prec = p**i
     pk = p**k
     if prec * (p - 1) ** 2 >= 1 << 63:
-        raise ResourceLimitError(f"Toeplitz products at p={p}, prec={prec} overflow int64")
+        raise ResourceLimitError(f"unit inverses at p={p}, prec={prec} overflow int64")
     rows = np.concatenate(list(_power_blocks(p, prec)))
     nums = _combinations(alpha, rows, p)
     dens = _combinations(beta, rows, p)
@@ -340,8 +347,7 @@ def _ratio_scan(p: int, alpha, beta, k: int, i: int):
         chunk = max(1, _CHUNK_ENTRIES // (max(len(divisible), w) * w))
         words: set[int] = set()
         for start in range(0, len(inverses), chunk):
-            product = divisible @ _toeplitz_stack(inverses[start : start + chunk])
-            np.remainder(product, p, out=product)
+            product = matmul_mod(divisible, _toeplitz_stack(inverses[start : start + chunk]), p)
             words.update(_pack_rows(product.reshape(-1, w), p))
         # every solution agrees with a word below degree w; the top v
         # coefficients are free (the annihilator of x^v)

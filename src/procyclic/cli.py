@@ -45,9 +45,9 @@ EXIT_RESOURCE = 3
 # exit code of each subcommand status: "stopped" means a size budget cut a run short
 STATUS_EXIT = {"pass": 0, "fail": 1, "stopped": EXIT_RESOURCE}
 
-# --prec of tau and verify-frobenius is refused above this before any work:
-# one series holds prec int64 coefficients (512 KiB at the limit), and a
-# product at the limit took 0.2-0.9 s on one core of a 2-CPU machine
+# --prec of tau, verify-frobenius and antipode-check is refused above this
+# before any work: one series holds prec int64 coefficients (512 KiB at the
+# limit), and a product at the limit took 0.2-0.9 s on one core of 2 CPUs
 MAX_PREC = 1 << 16
 
 
@@ -134,6 +134,7 @@ def _cmd_tau(args):
 
 
 def _cmd_antipode_check(args):
+    _check_prec(args.prec)
     p = validate_prime(args.p)
     if args.imax < 1:
         raise UsageError("imax must be >= 1, or no module bijection is checked")

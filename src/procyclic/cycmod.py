@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError, exact_int
 from .fpx import validate_prime
-from .linfp import FpMatrix, SparseRankAccumulator, kernel_basis, rank
+from .linfp import FpMatrix, SparseRankAccumulator, kernel_basis, matmul_mod, rank
 from .taumap import min_digit_precision, times_sigma_x
 
 __all__ = [
@@ -224,12 +224,11 @@ def _id_tensor_images(relations: FpMatrix, antipode: ModuleAntipode) -> np.ndarr
 
     A row-major tensor coordinate vector is a d x d matrix V, and id (x) S
     sends it to V S^T, so all rows go through one batched d x d product
-    instead of a d^2 x d^2 Kronecker matrix.  Exact in int64: each entry
-    sums d products below (p-1)^2.
+    instead of a d^2 x d^2 Kronecker matrix, taken exactly by matmul_mod.
     """
     s = antipode.matrix.array
     d = s.shape[0]
-    return ((relations.array.reshape(-1, d, d) @ s.T) % relations.p).reshape(-1, d * d)
+    return matmul_mod(relations.array.reshape(-1, d, d), s.T, relations.p).reshape(-1, d * d)
 
 
 def antipode_iso_check(m: FpCModule, antipode) -> AntipodeCheck:

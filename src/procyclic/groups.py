@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError, env_budget, exact_int, exact_ints
 from .fpx import validate_prime
+from .linfp import matmul_mod
 
 __all__ = [
     "FiniteGroup",
@@ -411,7 +412,7 @@ def build_lamplighter(p: int, i: int, copies: int = 2) -> FiniteGroup:
     action = np.kron(np.eye(copies, dtype=np.int64), t_action)
     weights = p ** np.arange(width)
     digits = np.arange(words)[:, None] // weights % p
-    shift = ((digits @ action.T) % p) @ weights  # shift[u] = u . T
+    shift = matmul_mod(digits, action.T, p) @ weights  # shift[u] = u . T
     add = _word_sums(p, width)  # add[u, w]: index of the word sum u + w
     n, u = np.divmod(np.arange(order), words)
     # the columns with cyclic part nb form one block, listing the words in order

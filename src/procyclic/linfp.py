@@ -17,13 +17,14 @@ float64, and add_rows feeds the nonzero rows in blocks of BLOCK_ROWS
 (the blocked, delayed-reduction elimination of Dumas, Giorgi & Pernet,
 ACM TOMS 35(3), 2008): one BLAS product reduces a whole block against
 the basis, the row path eliminates inside the block, and a second
-product back-reduces the basis at the block's new pivots.  Each
-product sums one term below (p-1)^2 per pivot, so every integer it forms
-has magnitude below rank * (p-1)^2, exact in float64 while that stays
-below 2^53; the bound (less 2p, the margin of the reduction step) is
-checked before pivots are added.  Sums are brought back into [0, p) by
-an exact float step, x - p * floor(x * (1/p)) with one fix-up, instead
-of float %; see _mod_exact.
+product back-reduces the basis at the block's new pivots.  matmul_mod,
+every other product of residue matrices, is one such product per chunk
+of the inner dimension.  Both rest on one bound, float_terms(p): a sum
+of n terms below (p-1)^2 is exact in float64, with the 2p margin of the
+reduction step, while n * (p-1)^2 + 2p <= 2^53; the accumulator checks
+its rank against it before pivots are added.  Sums are brought back
+into [0, p) by an exact float step, x - p * floor(x * (1/p)) with one
+fix-up, instead of float %; see _mod_exact.
 
 Null spaces come from the same engine: kernel_basis writes one vector
 per free column of the basis SparseRankAccumulator.reduced hands out.
@@ -43,6 +44,7 @@ __all__ = [
     "rank",
     "kernel_basis",
     "rref",
+    "matmul_mod",
     "SparseRankAccumulator",
 ]
 
@@ -94,7 +96,7 @@ class FpMatrix:
             raise UsageError(f"mixed primes {self.p} and {other.p}")
         if self.cols != other.rows:
             raise UsageError(f"shape mismatch {self.array.shape} @ {other.array.shape}")
-        return FpMatrix(self.p, _matmul_mod(self.array, other.array, self.p))
+        return FpMatrix(self.p, matmul_mod(self.array, other.array, self.p))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):
@@ -108,28 +110,37 @@ class FpMatrix:
         return f"FpMatrix(p={self.p}, shape={self.array.shape})"
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # Chunk the contraction so int64 accumulators cannot overflow:
-    # each partial sum is bounded by chunk * (p-1)^2.
-    chunk = max(1, (1 << 62) // max(1, (p - 1) ** 2))
-    if a.shape[1] <= chunk:
-        return (a @ b) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, a.shape[1], chunk):
-        out = (out + a[:, lo : lo + chunk] @ b[lo : lo + chunk]) % p
-    return out
+def float_terms(p: int) -> int:
+    """The largest n with n * (p-1)^2 + 2p <= 2^53 (2,098,176 at p = 65521).
+
+    A sum of n products of residues, and an entry in [0, p) less that sum,
+    are then exact float64 integers inside the domain of _mod_exact.
+    """
+    return (EXACT_FLOAT - 2 * p) // (p - 1) ** 2
 
 
 def _check_float_rank(rank: int, p: int) -> None:
-    """Refuse a float64 basis of rank pivots whose reductions could round.
-
-    A reduction sums one product of at most (p-1)^2 per pivot and
-    subtracts the sum from an entry in [0, p), giving an integer x in
-    [-rank * (p-1)^2, p).  Bounding rank * (p-1)^2 by EXACT_FLOAT - 2p keeps
-    every partial sum exact and x inside the domain of _mod_exact.
-    """
-    if rank * (p - 1) ** 2 + 2 * p > EXACT_FLOAT:
+    """Refuse a float64 basis of rank pivots whose reductions could round."""
+    if rank > float_terms(p):
         raise ResourceLimitError("rank too large for exact float64 accumulation")
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b reduced into [0, p), exactly, as an int64 array.
+
+    a and b hold residues in [0, p) and are 2-D or stacked with a leading
+    batch axis, as for np.matmul.  One float64 GEMM per inner chunk of at
+    most float_terms(p) terms gives exact sums; each chunk is reduced by
+    _mod_exact, and the reduced chunks are added and the sum reduced.
+    """
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
+    step = float_terms(p)
+    out = _mod_exact(a[..., :step] @ b[..., :step, :], p)
+    for lo in range(step, a.shape[-1], step):
+        out += _mod_exact(a[..., lo : lo + step] @ b[..., lo : lo + step, :], p)
+        _mod_exact(out, p)
+    return out.astype(np.int64)
 
 
 def _mod_exact(x: np.ndarray, p: int) -> np.ndarray:
@@ -226,8 +237,8 @@ class SparseRankAccumulator:
        are appended.
 
     A product sums one term below (p-1)^2 per pivot, so it is exact while
-    rank * (p-1)^2 + 2p <= 2^53; growing the rank past that bound raises
-    ResourceLimitError before any pivot is added (at p = 65521 the
+    the rank is at most float_terms(p); growing the rank past that bound
+    raises ResourceLimitError before any pivot is added (at p = 65521 the
     largest rank is 2,098,176).  The block path reduces its sums mod p by
     the exact float step of _mod_exact.  The float64 basis starts at
     min(16, ncols) rows and doubles as the rank grows.

@@ -2,11 +2,14 @@
 
 import importlib
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import procyclic
 from procyclic.cli import build_parser, main
 from procyclic.reporting import ReportDocument, Section
 
@@ -99,6 +102,31 @@ def test_census_over_budget_exits_3_before_any_work(argv, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("resource limit: census ratio set at p=2")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "imax,work",
+    (("2300", "3^9200"), ("10000000", "3^40000000"), ("9", "150094635296999121")),
+)
+def test_census_huge_level_exits_3_with_one_line(imax, work, capsys):
+    # the budget compares exponents, so no power of p is formed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "census", "--p", "3", "--n", "1", "--k", "1", "--imax", imax)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (
+        f"resource limit: census ratio set at p=3, n=1, i={imax} needs p^(2i(n+1)) = {work} "
+        "steps > 4294967296\n"
+    )
+
+
+def test_antipode_check_huge_prec_exits_3_with_one_line(capsys):
+    prec = str(10**2200)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "antipode-check", "--p", "3", "--prec", prec)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == f"resource limit: series precision {prec} > 65536\n"
 
 
 @pytest.mark.parametrize(
@@ -468,10 +496,15 @@ def test_report_out_file(capsys, tmp_path):
 
 
 def test_entry_point_subprocess():
+    # the child imports the procyclic this process imported, installed or not
+    env = dict(os.environ)
+    package_parent = os.path.dirname(os.path.dirname(procyclic.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "procyclic.cli", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "procyclic" in proc.stdout

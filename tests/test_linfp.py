@@ -14,7 +14,15 @@ from procyclic import (
     rank,
 )
 from procyclic import linfp
-from procyclic.linfp import BLOCK_ROWS, EXACT_FLOAT, _check_float_rank, _mod_exact, rref
+from procyclic.linfp import (
+    BLOCK_ROWS,
+    EXACT_FLOAT,
+    _check_float_rank,
+    _mod_exact,
+    float_terms,
+    matmul_mod,
+    rref,
+)
 
 
 def rank_division_free(rows, p):
@@ -306,6 +314,41 @@ def test_matmul_and_validation():
         FpMatrix(3, [[1, 2, 3]]) @ b
     with pytest.raises(UsageError):
         FpMatrix(3, np.zeros((2, 2, 2)))
+
+
+def check_matmul_mod(a, b, p):
+    """matmul_mod against the product of Python ints, reduced mod p."""
+    got = matmul_mod(a, b, p)
+    expected = (a.astype(object) @ b.astype(object)) % p
+    assert got.dtype == np.int64 and got.shape == expected.shape
+    assert np.array_equal(got, expected.astype(np.int64))
+
+
+def matmul_shapes(inner):
+    """2-D @ 2-D, stacked @ 2-D and 2-D @ stacked, with this inner dimension."""
+    return (((5, inner), (inner, 4)), ((3, 5, inner), (inner, 4)), ((5, inner), (3, inner, 4)))
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521))
+@pytest.mark.parametrize("inner", (0, 1, 9))
+def test_matmul_mod_matches_python_ints(p, inner):
+    rng = np.random.default_rng(inner)
+    for a_shape, b_shape in matmul_shapes(inner):
+        check_matmul_mod(rng.integers(0, p, size=a_shape), rng.integers(0, p, size=b_shape), p)
+        # every term at its largest, (p-1)^2
+        check_matmul_mod(np.full(a_shape, p - 1), np.full(b_shape, p - 1), p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521))
+def test_matmul_mod_chunks_at_the_float_bound(monkeypatch, p):
+    terms = 6
+    shrink_float_bound(monkeypatch, p, terms)
+    assert float_terms(p) == terms
+    rng = np.random.default_rng(p)
+    for inner in (terms - 1, terms, terms + 1, 2 * terms + 1):
+        for a_shape, b_shape in matmul_shapes(inner):
+            check_matmul_mod(np.full(a_shape, p - 1), np.full(b_shape, p - 1), p)
+            check_matmul_mod(rng.integers(0, p, size=a_shape), rng.integers(0, p, size=b_shape), p)
 
 
 def rref_null_space(arr, p):
