@@ -18,7 +18,7 @@ import sys
 from functools import lru_cache
 
 from . import __version__
-from .census import check_enum_budget, density_gap, enum_A
+from .census import check_census_budget, check_enum_budget, density_gap, enum_A
 from .cycmod import check_module_dim
 from .errors import ResourceLimitError, SearchExhaustedError, UsageError
 from .fpx import TruncSeries, parse_series, render_series, validate_prime
@@ -177,12 +177,14 @@ def _cmd_coinv(args):
 
 
 def _cmd_census(args):
+    if args.imax < args.k:
+        raise UsageError(f"imax = {args.imax} must be at least k = {args.k}")
+    # refuse a huge n before a list of n coefficients is formed
+    check_census_budget(args.p, args.n, args.imax)
     alpha = [_parse_int(v) for v in args.alpha.split(",")] if args.alpha else [1] * args.n
     beta = [_parse_int(v) for v in args.beta.split(",")] if args.beta else [1] * args.n
     if len(alpha) != args.n or len(beta) != args.n:
         raise UsageError("alpha and beta must have exactly n entries")
-    if args.imax < args.k:
-        raise UsageError(f"imax = {args.imax} must be at least k = {args.k}")
     rows = census_rows(args.p, alpha, beta, args.k, args.imax)
     doc = _wrap(
         "census",

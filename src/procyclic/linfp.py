@@ -10,21 +10,23 @@ Every rank is taken by one engine, SparseRankAccumulator, and only its
 pivot rows are kept.  Arrays and every odd-p row the package forms
 enter it in blocks through add_rows, single F_2 rows through add_bits;
 add_pairs, one row of (column, value) pairs, is the route of the tests
-and the benchmark.
+and the benchmark, and the only caller of the single-row path.
 Over F_2 a row is a bit-packed Python integer and each reduction is one
 word-parallel xor.  For odd p the pivot rows are kept inter-reduced in
 float64, and add_rows feeds the nonzero rows in blocks of BLOCK_ROWS
 (the blocked, delayed-reduction elimination of Dumas, Giorgi & Pernet,
 ACM TOMS 35(3), 2008): one BLAS product reduces a whole block against
-the basis, the row path eliminates inside the block, and a second
-product back-reduces the basis at the block's new pivots.  matmul_mod,
-every other product of residue matrices, is one such product per chunk
-of the inner dimension.  Both rest on one bound, float_terms(p): a sum
-of n terms below (p-1)^2 is exact in float64, with the 2p margin of the
-reduction step, while n * (p-1)^2 + 2p <= 2^53; the accumulator checks
-its rank against it before pivots are added.  Sums are brought back
-into [0, p) by an exact float step, x - p * floor(x * (1/p)) with one
-fix-up, instead of float %; see _mod_exact.
+the basis, one in-place int64 panel elimination, _panel_rref, brings
+the block to its own RREF, reducing each row mod p only at its pivot
+step, and a second product back-reduces the basis at the block's new
+pivots.  matmul_mod, every other product of residue matrices, is one
+such product per chunk of the inner dimension.  Both rest on one bound,
+float_terms(p): a sum of n terms below (p-1)^2 is exact in float64,
+with the 2p margin of the reduction step, while n * (p-1)^2 + 2p <=
+2^53; the accumulator checks its rank against it before pivots are
+added.  Sums are brought back into [0, p) by an exact float step,
+x - p * floor(x * (1/p)) with one fix-up, instead of float %; see
+_mod_exact.
 
 Null spaces come from the same engine: kernel_basis writes one vector
 per free column of the basis SparseRankAccumulator.reduced hands out.
@@ -37,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError, exact_ints
-from .fpx import validate_prime
+from .fpx import MAX_PRIME, validate_prime
 
 __all__ = [
     "FpMatrix",
@@ -48,15 +50,24 @@ __all__ = [
     "SparseRankAccumulator",
 ]
 
-# Rows per block of the odd-p block path.  On a random 256 x 256 F_3
-# matrix and the 256 x 256 and 512 x 256 relation matrices of
-# coinv --p 3 --i 16, blocks of 8 and 16 took 27 ms together, 32 took
-# 30 ms and 64 took 37 ms (one core of a 2-CPU x86-64 machine): a larger
-# block does more of its work in the per-row elimination inside it.
+# Rows per block of the odd-p block path.  Best of 15, one BLAS thread on
+# one core of a 2-CPU x86-64 machine, blocks of 8 / 16 / 32 rows took
+# 10.0 / 8.6 / 8.7 ms for the rank of a random 256 x 256 F_3 matrix,
+# 9.8 / 7.4 / 9.8 ms at p = 65521, 72.5 / 52.5 / 41.7 ms for 512 x 512
+# over F_3, and 23.9 / 23.1 / 22.6 ms for coinv --p 3 --i 16: a larger
+# block back-reduces the basis less often but spends more of its time in
+# the row-by-row panel elimination inside it.  16 is kept, as 32 is not
+# faster on 256 x 256.
 BLOCK_ROWS = 16
 
 # float64 represents every integer of magnitude at most 2^53
 EXACT_FLOAT = 1 << 53
+
+# _panel_rref subtracts at most BLOCK_ROWS products of two residues from a
+# residue, so its int64 entries stay below this in magnitude
+PANEL_BOUND = BLOCK_ROWS * (MAX_PRIME - 1) ** 2 + MAX_PRIME
+if PANEL_BOUND >= 1 << 63:
+    raise OverflowError(f"BLOCK_ROWS = {BLOCK_ROWS} overflows the int64 panel elimination")
 
 
 class FpMatrix:
@@ -150,16 +161,54 @@ def _mod_exact(x: np.ndarray, p: int) -> np.ndarray:
     relative error below 2^-52, so it lies within 2 / p < 1 of x / p (1/2
     at p = 2, where 1/p is exact), and its floor q is the true quotient or
     one off.  Then |q * p| <= |x| + 2p is exact, x - q * p lies in
-    [-p, 2p), and one fix-up adds or subtracts p.  On a 256 x 256 array
-    this takes 0.14 ms, where float % takes 1.6 ms (one x86-64 core).
+    [-p, 2p), and one fix-up adds or subtracts p; the fix-up passes run
+    only when some entry lies outside [0, p).  On a 256 x 256 array this
+    takes 0.14 ms, where float % takes 1.6 ms (one x86-64 core).
     """
     q = x * (1.0 / p)
     np.floor(q, out=q)
     q *= p
     x -= q
-    np.add(x, p, out=x, where=x < 0)
-    np.subtract(x, p, out=x, where=x >= p)
+    if x.size and (x.min() < 0 or x.max() >= p):
+        np.add(x, p, out=x, where=x < 0)
+        np.subtract(x, p, out=x, where=x >= p)
     return x
+
+
+def _panel_rref(block: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF of a block of int64 residue rows, eliminated in place.
+
+    Returns (rows, pivcols): the block's pivot rows, in the order the rows
+    met their pivots, as int64 residues in [0, p) with rows[:, pivcols] = I.
+    Row i is reduced mod p when its turn comes; its first nonzero column c
+    is its pivot, it is scaled to one there, and col[:, None] * row, with
+    col = block[:, c] mod p and col[i] = 0, is subtracted from the whole
+    panel.  The other rows are not reduced between updates: each update
+    subtracts at most (p-1)^2, so every entry stays below
+    p + BLOCK_ROWS * (p-1)^2 in magnitude (under 2^37 at p = 65521), and
+    PANEL_BOUND keeps that exact in int64.  The pivot rows are reduced once
+    at the end.  An RREF with a given pivot set is unique, so the rows
+    equal those the single-row path finds from the same rows.
+    """
+    pivrows: list[int] = []
+    pivcols: list[int] = []
+    for i, row in enumerate(block):
+        row %= p
+        nz = row.nonzero()[0]
+        if nz.size == 0:
+            continue
+        c = int(nz[0])
+        if row[c] != 1:
+            row *= pow(int(row[c]), -1, p)
+            row %= p
+        col = block[:, c] % p
+        col[i] = 0
+        if col.any():
+            # the row is zero left of c, so only columns c.. change
+            block[:, c:] -= col[:, None] * row[c:]
+        pivrows.append(i)
+        pivcols.append(c)
+    return block[pivrows] % p, pivcols
 
 
 def rref(matrix: FpMatrix) -> tuple[np.ndarray, list[int]]:
@@ -230,11 +279,12 @@ class SparseRankAccumulator:
 
     1. one GEMM, block[:, pivcols] @ basis, reduces the whole block against
        the basis;
-    2. the single-row path eliminates inside the block, on a local
-       accumulator of at most one block's rank;
+    2. _panel_rref eliminates inside the block in place, in int64, and
+       hands back its pivot rows in RREF, in the order the rows met their
+       pivots;
     3. one GEMM, old - old[:, new_pivcols] @ new, back-reduces the old
-       rows that are nonzero at the new pivot columns, and the new rows
-       are appended.
+       rows that are nonzero at the new pivot columns (in place when that
+       is every row), and the new rows are appended.
 
     A product sums one term below (p-1)^2 per pivot, so it is exact while
     the rank is at most float_terms(p); growing the rank past that bound
@@ -323,24 +373,26 @@ class SparseRankAccumulator:
             if coeffs.any():
                 block -= coeffs @ self._basis[: self.rank]
                 _mod_exact(block, p)
-        local = SparseRankAccumulator(self.ncols, p)
-        for row in block.astype(np.int64):
-            if row.any():
-                local._add_dense(row)
-        k = local.rank
+                if not block.any():  # the common case once the rank is full
+                    return
+        new, pivcols = _panel_rref(block.astype(np.int64), p)
+        k = len(pivcols)
         if k == 0:
             return
         _check_float_rank(self.rank + k, p)
-        new = local._basis[:k]
+        new = new.astype(np.float64)
         if self.rank:
             old = self._basis[: self.rank]
-            hit = old[:, local._pivcols]
+            hit = old[:, pivcols]
             rows = np.flatnonzero(hit.any(axis=1))  # only these rows change
-            if rows.size:
+            if rows.size == self.rank:
+                old -= hit @ new
+                _mod_exact(old, p)
+            elif rows.size:
                 old[rows] = _mod_exact(old[rows] - hit[rows] @ new, p)
         self._reserve(self.rank + k)
         self._basis[self.rank : self.rank + k] = new
-        self._pivcols += local._pivcols
+        self._pivcols += pivcols
         self.rank += k
 
     def _add_bits(self, row: int) -> bool:

@@ -120,6 +120,19 @@ def test_census_huge_level_exits_3_with_one_line(imax, work, capsys):
     )
 
 
+def test_census_huge_n_exits_3_with_one_line(capsys):
+    # the budget is checked before a list of n coefficients is formed
+    n = "100000000000000000000"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "census", "--p", "2", "--n", n, "--k", "1", "--imax", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (
+        f"resource limit: census ratio set at p=2, n={n}, i=1 needs p^(2i(n+1)) = "
+        "2^200000000000000000002 steps > 4294967296\n"
+    )
+
+
 def test_antipode_check_huge_prec_exits_3_with_one_line(capsys):
     prec = str(10**2200)
     start = time.perf_counter()

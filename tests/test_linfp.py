@@ -1,5 +1,6 @@
 """Linear algebra over F_p, cross-checked by a division-free eliminator."""
 
+import inspect
 import random
 
 import numpy as np
@@ -10,13 +11,18 @@ from procyclic import (
     ResourceLimitError,
     SparseRankAccumulator,
     UsageError,
+    diagonal_coinvariants,
     kernel_basis,
     rank,
+    regular_antipode,
 )
 from procyclic import linfp
+from procyclic.cycmod import _id_tensor_images, _tensor_relations
+from procyclic.fpx import MAX_PRIME
 from procyclic.linfp import (
     BLOCK_ROWS,
     EXACT_FLOAT,
+    PANEL_BOUND,
     _check_float_rank,
     _mod_exact,
     float_terms,
@@ -151,12 +157,17 @@ def test_rank_of_wide_sparse_matrix_allocates_by_rank():
     assert rank(FpMatrix(3, arr)) == 9
 
 
-def row_path_rank(arr, p):
-    acc = SparseRankAccumulator(arr.shape[1], p)
+def row_path(arr, p, acc=None):
+    """The accumulator after the rows went in one at a time through add_pairs."""
+    acc = acc or SparseRankAccumulator(arr.shape[1], p)
     for row in arr:
         nz = np.nonzero(row)[0]
         acc.add_pairs(zip(nz.tolist(), row[nz].tolist()))
-    return acc.rank
+    return acc
+
+
+def row_path_rank(arr, p):
+    return row_path(arr, p).rank
 
 
 def deficient_matrix(rng, p, rows, cols, inner):
@@ -171,6 +182,42 @@ def deficient_matrix(rng, p, rows, cols, inner):
 B = BLOCK_ROWS
 
 
+def check_same_basis(acc, other):
+    """Equal bases, row for row: the block path keeps the single-row order."""
+    pivcols, rows = acc.reduced()
+    other_pivcols, other_rows = other.reduced()
+    assert pivcols.tolist() == other_pivcols.tolist()
+    assert rows.tobytes() == other_rows.tobytes()
+
+
+def check_against_rref(pivcols, rows, arr, p):
+    """The basis equals the rref oracle's rows, taken in pivot order."""
+    reduced, pivots = rref(FpMatrix(p, arr))
+    order = np.argsort(pivcols, kind="stable")
+    assert pivcols[order].tolist() == pivots
+    assert rows[order].tobytes() == reduced[: len(pivots)].tobytes()
+
+
+def panel_cases(rng, p, rows, cols=30):
+    """Blocks that take every branch of the in-panel elimination."""
+    base = rng.integers(0, p, size=(rows, cols))
+    # every third row is a combination of the two before it: nonzero on
+    # entry, it vanishes only after their pivots have been subtracted
+    combos = base.copy()
+    for k in range(2, rows, 3):
+        combos[k] = (rng.integers(1, p) * combos[k - 1] + rng.integers(1, p) * combos[k - 2]) % p
+    # leading entries other than one, the pivot columns out of order
+    stairs = np.zeros((rows, cols), dtype=np.int64)
+    for k in range(rows):
+        lead = cols - 1 - k % cols if k % 2 else k % cols
+        stairs[k, lead] = rng.integers(2, p)
+        stairs[k, lead + 1 :] = rng.integers(0, p, size=cols - lead - 1)
+    # repeated rows with zero rows between them
+    repeated = base[np.arange(rows) % 3] * (np.arange(rows) % 4 != 3)[:, None]
+    scaled = (base[:1] * rng.integers(1, p, size=(rows, 1))) % p
+    return [base, combos, stairs, repeated, scaled]
+
+
 @pytest.mark.parametrize("p", (3, 5, 7, 65521))
 @pytest.mark.parametrize("rows", (0, 1, B - 1, B, B + 1, 3 * B + 5))
 def test_block_path_matches_rref_and_row_path(p, rows):
@@ -181,11 +228,15 @@ def test_block_path_matches_rref_and_row_path(p, rows):
         deficient_matrix(rng, p, rows, 70, 23),
         np.zeros((rows, 12), dtype=np.int64),
         np.repeat(rng.integers(0, p, size=(1, 12)), rows, axis=0),  # one row, repeated
+        *panel_cases(rng, p, rows),
     ]
     for arr in cases:
         expected = len(rref(FpMatrix(p, arr))[1])
         assert rank(FpMatrix(p, arr)) == expected
-        assert row_path_rank(arr, p) == expected
+        acc = SparseRankAccumulator(arr.shape[1], p)
+        acc.add_rows(arr)
+        check_against_rref(*acc.reduced(), arr, p)
+        check_same_basis(acc, row_path(arr, p))
 
 
 def test_block_and_row_entries_share_one_basis():
@@ -230,6 +281,94 @@ def test_add_rows_packs_every_width_over_f2(width):
     acc = SparseRankAccumulator(width, 2)
     assert acc.add_rows(arr) == expected
     assert row_path_rank(arr, 2) == expected
+
+
+@pytest.mark.parametrize("p", (3, 5, 65521))
+def test_add_rows_interleaved_with_add_pairs_matches_rref(p):
+    rng = np.random.default_rng(80 + p)
+    arr = np.vstack(panel_cases(rng, p, B + 1))
+    acc = SparseRankAccumulator(arr.shape[1], p)
+    lo = 0
+    for k, size in enumerate((3, B, 1, B + 1, 5, 2 * B, 7, B - 1)):
+        chunk = arr[lo : lo + size]
+        if k % 2:
+            acc.add_rows(chunk)
+        else:
+            row_path(chunk, p, acc)
+        lo += size
+        check_against_rref(*acc.reduced(), arr[:lo], p)
+    assert lo >= len(arr)
+    check_same_basis(acc, row_path(arr, p))
+
+
+def test_coinv_relation_matrices_match_rref():
+    # the three 256 x 256 eliminations of coinv --p 3 --i 16
+    antipode = regular_antipode(3, 16)
+    m = antipode.module
+    coinv = diagonal_coinvariants(m, m)
+    tensor = _tensor_relations(m, m).T
+    images = _id_tensor_images(coinv.relations, antipode)
+    for arr in (coinv.relations.array, tensor):
+        acc = SparseRankAccumulator(256, 3)
+        assert acc.add_rows(arr) == 256 - 16
+        check_against_rref(*acc.reduced(), arr, 3)
+    # acc holds the tensor relations, whose span takes the antipode images
+    assert acc.add_rows(images) == 0
+    check_against_rref(*acc.reduced(), np.vstack([tensor, images]), 3)
+    check_same_basis(acc, row_path(np.vstack([tensor, images]), 3))
+
+
+def test_add_rows_never_takes_the_single_row_path(monkeypatch):
+    def single_row(self, row):
+        raise AssertionError("add_rows reached _add_dense")
+
+    monkeypatch.setattr(SparseRankAccumulator, "_add_dense", single_row)
+    rng = np.random.default_rng(90)
+    for p in (3, 65521):
+        arr = deficient_matrix(rng, p, 3 * B + 5, 40, 25)
+        assert rank(FpMatrix(p, arr)) == len(rref(FpMatrix(p, arr))[1])
+        kernel_basis(FpMatrix(p, arr))
+    with pytest.raises(AssertionError, match="_add_dense"):
+        SparseRankAccumulator(4, 3).add_pairs([(1, 2)])
+
+
+def test_panel_bound_is_exact_in_int64():
+    # a panel entry is a residue less at most BLOCK_ROWS products of two residues
+    assert PANEL_BOUND == BLOCK_ROWS * (MAX_PRIME - 1) ** 2 + MAX_PRIME < 2**63
+    assert 65521 + BLOCK_ROWS * 65520**2 < 2**37  # as _panel_rref's docstring says
+    # the largest block the import accepts, and the first it refuses
+    source = inspect.getsource(linfp)
+    line = f"\nBLOCK_ROWS = {BLOCK_ROWS}\n"
+    assert source.count(line) == 1
+    for rows, fits in ((2_147_549_185, True), (2_147_549_186, False)):
+        assert (rows * (MAX_PRIME - 1) ** 2 + MAX_PRIME < 2**63) == fits
+        code = compile(source.replace(line, f"\nBLOCK_ROWS = {rows}\n"), linfp.__file__, "exec")
+        namespace = {"__name__": "procyclic.linfp", "__package__": "procyclic"}
+        if fits:
+            exec(code, namespace)
+            assert namespace["PANEL_BOUND"] < 2**63
+        else:
+            with pytest.raises(OverflowError, match=f"BLOCK_ROWS = {rows} overflows"):
+                exec(code, namespace)
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521))
+def test_mod_exact_edges_match_python_ints(p):
+    top = EXACT_FLOAT - 2 * p
+    k = top // p
+    cases = [
+        [j * p for j in range(-50, 51)] + [k * p, -k * p, (k - 1) * p, -(k - 1) * p],  # multiples
+        [top, -top, top - p, p - top],  # the edge of the domain
+        list(range(p)) if p < 100 else [0, 1, p // 2, p - 2, p - 1],  # already reduced
+        [],
+    ]
+    for xs in cases:
+        got = _mod_exact(np.array(xs, dtype=np.float64), p)
+        assert got.dtype == np.float64 and got.shape == (len(xs),)
+        assert got.astype(np.int64).tolist() == [x % p for x in xs]
+    reduced = np.arange(p, dtype=np.float64)
+    assert _mod_exact(reduced.copy(), p).tobytes() == reduced.tobytes()
+    assert _mod_exact(np.zeros((0, 5)), p).shape == (0, 5)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 65521))
