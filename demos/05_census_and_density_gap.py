@@ -23,7 +23,7 @@ for i in range(1, 5):
     print(f"{i:>2} {len(cs):>6} {bound:>9} {ambient:>10} {len(cs)/ambient:>10.6f}")
 
 print("\nsearching for a census-free ball around 0:")
-result = density_gap(lambda level: enum_A(p, level), TruncSeries.zero(p, 2), 1, 4)
+result = density_gap(TruncSeries.zero(p, 2), 1, 4)
 for level, size, cosets in result.log:
     print(f"  level {level}: census {size} vs {cosets} cosets")
 print(

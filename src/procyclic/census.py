@@ -57,10 +57,10 @@ i = 5 (2^30) 0.044 s; n = 3, i = 4 (2^32) 0.053 s; n = 1, i = 8 (2^32)
 budget the arrays grow quickly: n = 3, i = 8 would need a 32 GB
 numerator array.
 
-The density-gap search scans coset representatives in lexicographic
-coefficient order and returns the first ball that misses the census; a
-separate element-by-element verifier confirms the miss before the witness
-is returned.
+The density-gap search takes the census of each level from enum_A, scans
+coset representatives in lexicographic coefficient order and returns the
+first ball that misses the census; a separate element-by-element verifier
+confirms the miss before the witness is returned.
 """
 
 from __future__ import annotations
@@ -397,11 +397,10 @@ class DensityGapResult:
     log: list = field(default_factory=list)
 
 
-def density_gap(provider, f: TruncSeries, s: int, i_max: int) -> DensityGapResult:
-    """Find g in f + (x^(p^s)) and a level L with census(L) missing g's ball.
+def density_gap(f: TruncSeries, s: int, i_max: int) -> DensityGapResult:
+    """Find g in f + (x^(p^s)) and a level L with enum_A(p, L) missing g's ball.
 
-    ``provider`` maps a level L to the census set at that level.  Levels
-    s+1 .. s+i_max are tried in order; at each level the coset
+    Levels s+1 .. s+i_max are tried in order; at each level the coset
     representatives of (x^(p^s))/(x^(p^L)) are scanned in lexicographic
     coefficient order, and at most |census| + 1 candidates need looking at
     before a gap is certain (distinct representatives give distinct balls).
@@ -416,11 +415,7 @@ def density_gap(provider, f: TruncSeries, s: int, i_max: int) -> DensityGapResul
     for step in range(1, i_max + 1):
         level = s + step
         prec = p**level
-        census = provider(level)
-        if not isinstance(census, CensusSet):
-            raise UsageError("provider must return CensusSet instances")
-        if census.p != p or census.prec != prec:
-            raise UsageError(f"provider returned a set at the wrong level {census.level}")
+        census = enum_A(p, level)
         coset_count = p ** (prec - ps)
         size = len(census)
         log.append((level, size, coset_count))

@@ -18,12 +18,12 @@ import sys
 from functools import lru_cache
 
 from . import __version__
-from .census import check_census_budget, check_enum_budget, density_gap, enum_A
+from .census import check_census_budget, check_enum_budget, density_gap
 from .cycmod import check_module_dim
 from .errors import ResourceLimitError, SearchExhaustedError, UsageError
 from .fpx import TruncSeries, parse_series, render_series, validate_prime
 from .groups import FiniteGroup, build_lamplighter, cyclic_group, elementary_abelian
-from .homology import minres_h2, tower_report
+from .homology import check_h2_order, minres_h2, tower_report
 from .padic import PadicInt
 from .reporting import (
     DEFAULT_SEED,
@@ -49,6 +49,11 @@ STATUS_EXIT = {"pass": 0, "fail": 1, "stopped": EXIT_RESOURCE}
 # before any work: one series holds prec int64 coefficients (512 KiB at the
 # limit), and a product at the limit took 0.2-0.9 s on one core of 2 CPUs
 MAX_PREC = 1 << 16
+# verify-frobenius --imax is refused above this before any work.  Each level
+# takes a p-th power at --prec, so large p is slowest: at --prec 65536, 40
+# levels took 0.94 s at p = 65519 and 50 took 0.14 s at p = 2 (best of 3,
+# one core of 2 CPUs).  Past level log_p(prec) both sides are 1.
+MAX_FROBENIUS_LEVELS = 40
 
 
 def _parse_int(text: str) -> int:
@@ -105,6 +110,8 @@ def _cmd_verify_frobenius(args):
     if args.imax < 1:
         raise UsageError("imax must be >= 1, or no identity is checked")
     _check_prec(args.prec)
+    if args.imax > MAX_FROBENIUS_LEVELS:
+        raise ResourceLimitError(f"frobenius levels {args.imax} > {MAX_FROBENIUS_LEVELS}")
     section = section_frobenius(primes=(args.p,), i_max=args.imax, prec=args.prec)
     lines = [
         f"frobenius p={args.p} imax={args.imax} prec={args.prec}: {section.status}"
@@ -217,7 +224,7 @@ def _cmd_density_gap(args):
     check_enum_budget(p, args.s + 1)
     f = parse_series(args.f, p, p**args.s) if args.f else TruncSeries.zero(p, max(2, p**args.s))
     try:
-        result = density_gap(lambda level: enum_A(p, level), f, args.s, args.imax)
+        result = density_gap(f, args.s, args.imax)
     except SearchExhaustedError as exc:
         doc = _wrap(
             "density-gap",
@@ -248,16 +255,19 @@ def _cmd_density_gap(args):
     return doc, "\n".join(lines) + "\n", "pass"
 
 
+# a named group of level i has order p^(k i), k by kind
+_ORDER_EXPONENT = {"dl": 3, "lamp": 2, "elab": 1, "cyclic": 1}
+
+
 def _build_named_group(kind: str, p: int, i: int) -> FiniteGroup:
-    if kind == "dl":
-        return build_lamplighter(p, i, copies=2)
-    if kind == "lamp":
-        return build_lamplighter(p, i, copies=1)
+    """The named group, refused before its table is built if H_2 would be."""
+    if i > 0:  # other levels are the builder's usage errors
+        check_h2_order(p, _ORDER_EXPONENT[kind] * i)
+    if kind in ("dl", "lamp"):
+        return build_lamplighter(p, i, copies=2 if kind == "dl" else 1)
     if kind == "elab":
         return elementary_abelian(p, i)
-    if kind == "cyclic":
-        return cyclic_group(p, i)
-    raise UsageError(f"unknown group kind {kind!r}")
+    return cyclic_group(p, i)
 
 
 def _cmd_h2(args):
@@ -390,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_density_gap)
 
     sp = sub.add_parser("h2", help="H2 of a named or JSON group (minimal resolution)")
-    sp.add_argument("--group", choices=("dl", "lamp", "elab", "cyclic"), default="dl")
+    sp.add_argument("--group", choices=tuple(_ORDER_EXPONENT), default="dl")
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--i", type=int, default=1)
     sp.add_argument("--group-file", metavar="PATH", help="JSON multiplication table")

@@ -23,9 +23,9 @@ built: every number here is a rank from linfp's one elimination engine.
 The antipode of a module is an invertible S with S T = T^(-1) S; mapping
 m (x) m' to m (x) S m' carries the coinvariant relations into the tensor
 relations, so equality of the two quotient dimensions upgrades to an
-explicit bijection.  antipode_iso_check certifies the inclusion in one
-accumulator: it takes the tensor relations, whose rank gives the tensor
-dimension, and then the images add no pivot.
+explicit bijection.  antipode_iso_check(S) certifies the inclusion on
+S.module in one accumulator: it takes the tensor relations, whose rank
+gives the tensor dimension, and then the images add no pivot.
 """
 
 from __future__ import annotations
@@ -68,10 +68,8 @@ class FpCModule:
 
     def __init__(self, p: int, action: FpMatrix):
         p = validate_prime(p)
-        if not isinstance(action, FpMatrix):
-            action = FpMatrix(p, action)
-        if action.p != p:
-            raise UsageError(f"action matrix is over F_{action.p}, module over F_{p}")
+        if not isinstance(action, FpMatrix) or action.p != p:
+            raise UsageError(f"action matrix must be an FpMatrix over F_{p}")
         d = action.rows
         if action.cols != d:
             raise UsageError("action matrix must be square")
@@ -108,10 +106,8 @@ class ModuleAntipode:
     __slots__ = ("module", "matrix")
 
     def __init__(self, module: FpCModule, matrix: FpMatrix):
-        if not isinstance(matrix, FpMatrix):
-            matrix = FpMatrix(module.p, matrix)
-        if matrix.p != module.p:
-            raise UsageError("antipode matrix prime differs from module prime")
+        if not isinstance(matrix, FpMatrix) or matrix.p != module.p:
+            raise UsageError(f"antipode matrix must be an FpMatrix over F_{module.p}")
         d = module.dim
         if matrix.array.shape != (d, d):
             raise UsageError("antipode matrix shape differs from module dimension")
@@ -231,19 +227,18 @@ def _id_tensor_images(relations: FpMatrix, antipode: ModuleAntipode) -> np.ndarr
     return matmul_mod(relations.array.reshape(-1, d, d), s.T, relations.p).reshape(-1, d * d)
 
 
-def antipode_iso_check(m: FpCModule, antipode) -> AntipodeCheck:
+def antipode_iso_check(antipode: ModuleAntipode) -> AntipodeCheck:
     """Certify that id (x) S maps coinvariant relations onto tensor relations.
 
-    Accepts a ModuleAntipode or a raw matrix (validated here).  One
-    accumulator takes the tensor relations, and its rank gives the tensor
-    dimension; the images lie in the tensor relation span iff they then
-    add no pivot.  Since S is invertible, that inclusion plus equal
-    quotient dimensions means the induced map of quotients is a bijection.
+    The module is antipode.module.  One accumulator takes the tensor
+    relations, and its rank gives the tensor dimension; the images lie in
+    the tensor relation span iff they then add no pivot.  Since S is
+    invertible, that inclusion plus equal quotient dimensions means the
+    induced map of quotients is a bijection.
     """
     if not isinstance(antipode, ModuleAntipode):
-        antipode = ModuleAntipode(m, antipode)
-    if antipode.module is not m and antipode.module.action != m.action:
-        raise UsageError("antipode was built for a different module")
+        raise UsageError("antipode_iso_check needs a ModuleAntipode")
+    m = antipode.module
     coinv = diagonal_coinvariants(m, m)
     acc = SparseRankAccumulator(coinv.ambient, m.p)
     acc.add_rows(_tensor_relations(m, m).T)

@@ -49,6 +49,7 @@ __all__ = [
     "lamplighter_socle",
     "hopf_quotient",
     "max_group_order",
+    "check_order",
     "greedy_walk",
 ]
 
@@ -327,7 +328,7 @@ class GroupHom:
 # -- builders ----------------------------------------------------------
 
 
-def _check_order(p: int, e: int) -> int:
+def check_order(p: int, e: int) -> int:
     """p**e, or ResourceLimitError if a table of that order exceeds the group budget.
 
     e is compared with log_p of the budget first, so a huge e is refused
@@ -350,7 +351,7 @@ def cyclic_group(p: int, e: int) -> FiniteGroup:
     e = exact_int(e, "exponent")
     if e < 0:
         raise UsageError("exponent must be nonnegative")
-    m = _check_order(p, e)
+    m = check_order(p, e)
     # row i is the window at i of 0..m-1 written twice: (i + j) mod m
     twice = np.tile(np.arange(m, dtype=np.uint16), 2)
     table = np.lib.stride_tricks.sliding_window_view(twice, m)[:m].copy()
@@ -363,7 +364,7 @@ def elementary_abelian(p: int, r: int) -> FiniteGroup:
     r = exact_int(r, "rank")
     if r < 0:
         raise UsageError("rank must be nonnegative")
-    _check_order(p, r)
+    check_order(p, r)
     names = tuple(f"e{j+1}" for j in range(r))
     return FiniteGroup(p, _word_sums(p, r), generator_names=names)
 
@@ -406,7 +407,7 @@ def build_lamplighter(p: int, i: int, copies: int = 2) -> FiniteGroup:
     """
     p, i, copies = _lamplighter_shape(p, i, copies)
     width = i * copies
-    order = _check_order(p, width + i)
+    order = check_order(p, width + i)
     words, cyclic_order = p**width, p**i
     t_action = np.eye(i, dtype=np.int64) + (p - 1) * np.eye(i, k=-1, dtype=np.int64)
     action = np.kron(np.eye(copies, dtype=np.int64), t_action)

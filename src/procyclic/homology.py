@@ -33,14 +33,16 @@ where faces containing the identity are dropped.  Then
     dim H_2(G, F_p) = dim ker d2 - rank d3
                     = (m-1)^2 - rank d2 - rank d3.
 
-Both ranks stream through linfp.SparseRankAccumulator: d2 via
-linfp.rank, and d3 (never materialized) from a single row generator that
-bit-packs rows over F_2 and fills blocks of BLOCK_ROWS rows for add_rows
-otherwise.  d3 has (m-1)^3 rows of at most four entries each, so order 64
-is the practical ceiling (a quarter-million rows) and is also the default
-budget, which both engines share.  The five-term check forms no cycle
-basis: it writes the cycles' images, read off the accumulator's reduced
-d2, straight into one array for the accumulator.
+Both boundaries are gathered from one table, prod[a, b] = position of
+g_a g_b among the non-identity elements (-1 at the identity), and both
+ranks stream through linfp.SparseRankAccumulator: d2 via linfp.rank, and
+d3 (never materialized) bit-packed over F_2, otherwise the (m-1)^2 rows
+of one g at a time.  d3 has (m-1)^3 rows of at most four entries each,
+so order 64 is the practical ceiling (a quarter-million rows) and is
+also the default budget, which both engines share.  bar_h2 is cycles
+modulo boundaries from an empty accumulator; the five-term check forms
+no cycle basis, but first feeds the accumulator the cycles' images, read
+off the reduced d2 of G.
 
 The five-term check compares two independent computations attached to a
 normal subgroup H of G: the cokernel of the induced map
@@ -58,8 +60,9 @@ import numpy as np
 
 from .cycmod import diagonal_coinvariants, regular_module, tensor_over_groupring
 from .errors import ResourceLimitError, UsageError, env_budget, exact_int
-from .groups import FiniteGroup, GroupHom, build_lamplighter, greedy_walk, hopf_quotient
-from .linfp import BLOCK_ROWS, FpMatrix, SparseRankAccumulator, kernel_basis, rank
+from .fpx import validate_prime
+from .groups import FiniteGroup, GroupHom, build_lamplighter, check_order, greedy_walk, hopf_quotient
+from .linfp import FpMatrix, SparseRankAccumulator, kernel_basis, rank
 
 __all__ = [
     "minres_h2",
@@ -70,6 +73,7 @@ __all__ = [
     "TowerRow",
     "TowerReport",
     "max_bar_order",
+    "check_h2_order",
 ]
 
 DEFAULT_MAX_BAR = 64
@@ -80,90 +84,103 @@ def max_bar_order() -> int:
     return env_budget("PROCYCLIC_MAX_BAR", DEFAULT_MAX_BAR)
 
 
-def _check_bar_budget(group: FiniteGroup) -> None:
+def _check_bar_budget(order: int) -> None:
     budget = max_bar_order()
-    if group.order > budget:
+    if order > budget:
         raise ResourceLimitError(
-            f"bar resolution needs |G| <= {budget}, got {group.order} "
+            f"bar resolution needs |G| <= {budget}, got {order} "
             "(set PROCYCLIC_MAX_BAR to raise the budget)"
         )
 
 
-def _boundary2_matrix(group: FiniteGroup, nontrivial, pos) -> FpMatrix:
-    """Dense d2: C_2 -> C_1, columns indexed row-major by (g, h)."""
-    m1 = len(nontrivial)
-    arr = np.zeros((m1, m1 * m1), dtype=np.int64)
-    e = group.identity
-    for a, g in enumerate(nontrivial):
-        for b, h in enumerate(nontrivial):
-            col = a * m1 + b
-            arr[b, col] += 1  # [h]
-            gh = group.mul(g, h)
-            if gh != e:
-                arr[pos[gh], col] -= 1
-            arr[a, col] += 1  # [g]
-    return FpMatrix(group.p, arr)
+def check_h2_order(p: int, e: int) -> None:
+    """Refuse H_2 of order p^e before the table is built, table budget first."""
+    _check_bar_budget(check_order(validate_prime(p), e))
 
 
-def _stream_d3(group: FiniteGroup, nontrivial, pos, acc: SparseRankAccumulator) -> None:
-    """Feed every row of d3 to acc: bit-packed over F_2, in blocks otherwise.
+def _positions(group: FiniteGroup) -> np.ndarray:
+    """Each index's position among the non-identity elements, -1 at the identity."""
+    idx = np.arange(group.order)
+    return np.where(idx == group.identity, -1, idx - (idx > group.identity))
+
+
+def _bar_products(group: FiniteGroup) -> np.ndarray:
+    """prod[a, b] = position of g_a g_b, or -1 where the product is e.
+
+    g_0, g_1, .. are the non-identity elements in index order, the basis
+    of C_1; [g_a|g_b] is basis element a * (m-1) + b of C_2.
+    """
+    elements = np.delete(np.arange(group.order), group.identity)
+    return _positions(group)[group.table[np.ix_(elements, elements)]]
+
+
+def _boundary2_matrix(p: int, prod: np.ndarray) -> FpMatrix:
+    """Dense d2: C_2 -> C_1, one column per [g|h]."""
+    m1 = len(prod)
+    cols = np.arange(m1 * m1)
+    g, h = np.divmod(cols, m1)
+    # within one update the columns are distinct, so += is exact; the
+    # faces [gh] = [e] (prod -1) land in an extra last row
+    arr = np.zeros((m1 + 1, m1 * m1), dtype=np.int64)
+    arr[h, cols] += 1
+    arr[prod.reshape(-1), cols] -= 1
+    arr[g, cols] += 1
+    return FpMatrix(p, arr[:m1])
+
+
+def _stream_d3(p: int, prod: np.ndarray, acc: SparseRankAccumulator) -> None:
+    """Feed every row of d3 to acc: bit-packed over F_2, one g at a time otherwise.
 
     Row [g|h|k] has columns [h|k], [g|h] and, unless gh or hk is the
-    identity, [gh|k] and [g|hk], in the C_2 numbering of _boundary2_matrix.
+    identity, [gh|k] and [g|hk], in the C_2 numbering of _bar_products.
     """
-    m1 = len(nontrivial)
-    # prod[a][c] = position of nontrivial[a] * nontrivial[c], or -1 for the identity
-    prod = [
-        [pos.get(int(x), -1) for x in group.table[g, nontrivial]] for g in nontrivial
-    ]
-    bits = group.p == 2
-    buf = None if bits else np.zeros((BLOCK_ROWS, m1 * m1), dtype=np.int64)
-    filled = 0
-    for a in range(m1):
-        a_base = a * m1
-        prod_a = prod[a]
-        for b in range(m1):
-            b_base = b * m1
-            gh = prod_a[b]
-            gh_base = gh * m1 if gh >= 0 else -1
-            base = 1 << (a_base + b)  # [g|h]
-            for c, hk in enumerate(prod[b]):
-                if bits:
+    m1 = len(prod)
+    if p == 2:
+        rows = prod.tolist()
+        for a in range(m1):
+            a_base = a * m1
+            prod_a = rows[a]
+            for b in range(m1):
+                b_base = b * m1
+                gh = prod_a[b]
+                gh_base = gh * m1 if gh >= 0 else -1
+                base = 1 << (a_base + b)  # [g|h]
+                for c, hk in enumerate(rows[b]):
                     row = base ^ (1 << (b_base + c))  # [h|k]
                     if gh_base >= 0:
                         row ^= 1 << (gh_base + c)  # [gh|k]
                     if hk >= 0:
                         row ^= 1 << (a_base + hk)  # [g|hk]
                     acc.add_bits(row)
-                    continue
-                row = buf[filled]
-                row[b_base + c] += 1
-                row[a_base + b] -= 1
-                if gh_base >= 0:
-                    row[gh_base + c] -= 1
-                if hk >= 0:
-                    row[a_base + hk] += 1
-                filled += 1
-                if filled == BLOCK_ROWS:
-                    acc.add_rows(buf % group.p)
-                    buf.fill(0)
-                    filled = 0
-    if filled:
-        acc.add_rows(buf[:filled] % group.p)
+        return
+    # row h * m1 + k of one g's block is [g|h|k]; within one update the rows
+    # are distinct, so += is exact; faces with gh or hk = e land in column n
+    n = m1 * m1
+    r = np.arange(n)
+    h, k = np.divmod(r, m1)
+    hk = prod.reshape(-1)
+    for g in range(m1):
+        rows = np.eye(n, n + 1, dtype=np.int64)  # [h|k]
+        rows[r, g * m1 + h] -= 1  # [g|h]
+        gh = prod[g, h]
+        rows[r, np.where(gh >= 0, gh * m1 + k, n)] -= 1  # [gh|k]
+        rows[r, np.where(hk >= 0, g * m1 + hk, n)] += 1  # [g|hk]
+        rows %= p
+        acc.add_rows(rows[:, :n])
+
+
+def _cycles_mod_boundaries(group: FiniteGroup, acc: SparseRankAccumulator) -> int:
+    """dim Z_2(G) minus the rank of B_2(G) joined to the rows already in acc."""
+    prod = _bar_products(group)
+    z2_dim = prod.size - rank(_boundary2_matrix(group.p, prod))
+    _stream_d3(group.p, prod, acc)
+    return z2_dim - acc.rank
 
 
 def bar_h2(group: FiniteGroup) -> int:
     """dim H_2(G, F_p) from the normalized bar complex."""
-    _check_bar_budget(group)
-    if group.order == 1:
-        return 0
-    nontrivial = [g for g in range(group.order) if g != group.identity]
-    pos = {g: idx for idx, g in enumerate(nontrivial)}
-    m1 = len(nontrivial)
-    z2_dim = m1 * m1 - rank(_boundary2_matrix(group, nontrivial, pos))
-    acc = SparseRankAccumulator(m1 * m1, group.p)
-    _stream_d3(group, nontrivial, pos, acc)
-    return z2_dim - acc.rank
+    _check_bar_budget(group.order)
+    return _cycles_mod_boundaries(group, SparseRankAccumulator((group.order - 1) ** 2, group.p))
 
 
 def _minimal_generators(group: FiniteGroup) -> list[int]:
@@ -180,7 +197,7 @@ def _minimal_generators(group: FiniteGroup) -> list[int]:
 
 def minres_h2(group: FiniteGroup) -> int:
     """dim H_2(G, F_p) = dim K - dim I.K, as in the module docstring."""
-    _check_bar_budget(group)
+    _check_bar_budget(group.order)
     p, m = group.p, group.order
     gens = _minimal_generators(group)
     d = len(gens)
@@ -216,11 +233,11 @@ class FiveTermReport:
     equal: bool
 
 
-def _chain_map_c2(hom: GroupHom, nontrivial, q_pos) -> np.ndarray:
+def _chain_map_c2(hom: GroupHom) -> np.ndarray:
     """Index map for f# on C_2: basis t -> target index, or -1 if degenerate."""
-    # position of f(g) among the nontrivial targets, -1 where f(g) = e
-    img = np.array([q_pos.get(hom(g), -1) for g in nontrivial], dtype=np.int64)
-    pairs = img[:, None] * len(q_pos) + img
+    # position of f(g) among the non-identity targets, -1 where f(g) = e
+    img = _positions(hom.target)[np.delete(hom.images, hom.source.identity)]
+    pairs = img[:, None] * (hom.target.order - 1) + img
     return np.where((img[:, None] >= 0) & (img >= 0), pairs, -1).reshape(-1)
 
 
@@ -233,50 +250,30 @@ def five_term_check(group: FiniteGroup, h_elements) -> FiveTermReport:
     cycles, one per free column of the reduced d2, are formed.  The Hopf
     side uses only subgroup closures.  Low-degree exactness demands equality.
     """
-    _check_bar_budget(group)
+    _check_bar_budget(group.order)
     quotient, hom = group.quotient(h_elements)
-    _check_bar_budget(quotient)
-
     p = group.p
-    nontrivial = [g for g in range(group.order) if g != group.identity]
-    pos = {g: idx for idx, g in enumerate(nontrivial)}
-    q_nontrivial = [g for g in range(quotient.order) if g != quotient.identity]
-    q_pos = {g: idx for idx, g in enumerate(q_nontrivial)}
-    q_cols = len(q_nontrivial) ** 2
-
-    if q_cols == 0:
-        return FiveTermReport(0, hopf_quotient(group, h_elements), True)
 
     # the cycle of free column f of the reduced d2 = R is e_f minus R[r, f]
     # e_(pivot r) over the rows r; its image row has a one at mapping[f]
     # and -R[r, f] at mapping[pivot r], skipping the degenerate targets (-1)
-    d2 = SparseRankAccumulator(len(nontrivial) ** 2, p)
-    d2.add_rows(_boundary2_matrix(group, nontrivial, pos).array)
+    d2 = SparseRankAccumulator((group.order - 1) ** 2, p)
+    d2.add_rows(_boundary2_matrix(p, _bar_products(group)).array)
     pivcols, reduced = d2.reduced()
     free = np.delete(np.arange(d2.ncols), pivcols)
-    mapping = _chain_map_c2(hom, nontrivial, q_pos)
-    images = np.zeros((free.size, q_cols), dtype=np.int64)
+    mapping = _chain_map_c2(hom)
+    images = np.zeros((free.size, (quotient.order - 1) ** 2), dtype=np.int64)
     kept = np.flatnonzero(mapping[free] >= 0)
     images[kept, mapping[free[kept]]] = 1
     for r in np.flatnonzero(mapping[pivcols] >= 0):
         images[:, mapping[pivcols[r]]] -= reduced[r, free]
     images %= p
 
-    acc = SparseRankAccumulator(q_cols, p)
+    acc = SparseRankAccumulator(images.shape[1], p)
     acc.add_rows(images)
-
-    # adjoin the boundaries of the quotient
-    _stream_d3(quotient, q_nontrivial, q_pos, acc)
-    rank_union = acc.rank
-
-    z2_q = q_cols - rank(_boundary2_matrix(quotient, q_nontrivial, q_pos))
-    cokernel_dim = z2_q - rank_union
+    cokernel_dim = _cycles_mod_boundaries(quotient, acc)
     hopf_dim = hopf_quotient(group, h_elements)
-    return FiveTermReport(
-        cokernel_dim=cokernel_dim,
-        hopf_dim=hopf_dim,
-        equal=cokernel_dim == hopf_dim,
-    )
+    return FiveTermReport(cokernel_dim, hopf_dim, equal=cokernel_dim == hopf_dim)
 
 
 @dataclass(frozen=True)
@@ -327,6 +324,7 @@ def tower_report(p: int, i_max: int) -> TowerReport:
     rows = []
     for i in range(1, i_max + 1):
         try:
+            check_h2_order(p, 3 * i)
             group = build_lamplighter(p, i, copies=2)
             h2 = minres_h2(group)
         except ResourceLimitError as exc:

@@ -25,7 +25,6 @@ from .census import (
     census_ratio_set,
     check_census_budget,
     density_gap,
-    enum_A,
     kappa,
     mu,
 )
@@ -274,7 +273,7 @@ def antipode_bijection(p: int, i: int) -> tuple[AntipodeCheck, bool]:
     """The antipode certificate of the level-i regular module, and whether it
     passes: the antipode is a bijection and both dimensions equal i."""
     antipode = regular_antipode(p, i)
-    check = antipode_iso_check(antipode.module, antipode)
+    check = antipode_iso_check(antipode)
     ok = check.bijective and check.coinvariant_dim == check.tensor_dim == i
     return check, ok
 
@@ -364,7 +363,7 @@ def section_counting_bound() -> Section:
 def section_density_gap() -> Section:
     rows = []
     try:
-        result = density_gap(lambda level: enum_A(2, level), TruncSeries.zero(2, 2), 1, 4)
+        result = density_gap(TruncSeries.zero(2, 2), 1, 4)
     except SearchExhaustedError as exc:
         for level, size, cosets in exc.counts:
             rows.append({"level": level, "census": size, "cosets": cosets})

@@ -7,6 +7,7 @@ its file (no bytecode is written under bench/) and always uninstalled.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -67,3 +68,20 @@ def test_each_builder_call_adds_one_build_and_one_table_span():
             assert spans["groups.build.calls"] == spans["groups.table.calls"] == calls
     finally:
         tracer.uninstall()
+
+
+def test_traced_density_gap_counts_one_census_per_level(capsys):
+    # density_gap takes each level's census from census.enum_A, which the
+    # tracer rebinds inside census itself
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        argv = ["density-gap", "--p", "2", "--s", "1", "--imax", "3", "--json"]
+        assert procyclic.cli.main(argv) == 0
+        spans = tracer.aggregate()
+    finally:
+        tracer.uninstall()
+    levels = len(json.loads(capsys.readouterr().out)["log"])
+    assert levels >= 1
+    assert spans["census.density_gap.calls"] == 1
+    assert spans["census.enum_A.calls"] == levels

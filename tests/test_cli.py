@@ -33,6 +33,16 @@ def test_verify_frobenius_at_a_large_prime(capsys):
     assert rows == [{"exact": True, "i": i, "p": 65521} for i in range(1, 11)]
 
 
+def test_verify_frobenius_huge_imax_exits_3_with_one_line(capsys):
+    # each level builds p**i, so an unbounded --imax would run for hours
+    started = time.perf_counter()
+    argv = ["verify-frobenius", "--p", "2", "--prec", "4", "--imax", str(10**14)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "resource limit: frobenius levels 100000000000000 > 40\n"
+    assert time.perf_counter() - started < 1.0
+
+
 def test_tau_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "tau", "--p", "2", "--alpha", "-1", "--prec", "8")
     assert code == 0
@@ -257,6 +267,50 @@ def test_h2_huge_exponent_exits_3_with_one_line(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, builder",
+    [
+        (["h2", "--group", "elab", "--p", "2", "--i", "12"], "elementary_abelian"),
+        (["h2", "--group", "cyclic", "--p", "2", "--i", "12"], "cyclic_group"),
+        (["h2", "--group", "dl", "--p", "2", "--i", "4"], "build_lamplighter"),
+        (["h2", "--group", "lamp", "--p", "2", "--i", "4"], "build_lamplighter"),
+    ],
+)
+def test_h2_refuses_before_building_the_table(capsys, monkeypatch, argv, builder):
+    monkeypatch.delenv("PROCYCLIC_MAX_BAR", raising=False)
+    monkeypatch.delenv("PROCYCLIC_MAX_GROUP", raising=False)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a refused group was built")
+
+    monkeypatch.setattr(procyclic.cli, builder, no_build)
+    code, out, err = run_cli(capsys, *argv)
+    order = {"elab": 2**12, "cyclic": 2**12, "dl": 2**12, "lamp": 2**8}[argv[2]]
+    assert (code, out) == (3, "")
+    assert err == (
+        f"resource limit: bar resolution needs |G| <= 64, got {order} "
+        "(set PROCYCLIC_MAX_BAR to raise the budget)\n"
+    )
+
+
+def test_tower_refuses_a_level_before_building_it(capsys, monkeypatch):
+    monkeypatch.delenv("PROCYCLIC_MAX_BAR", raising=False)
+    build = procyclic.homology.build_lamplighter
+
+    def build_below_budget(p, i, copies=2):
+        if p ** (3 * i) > 64:
+            raise AssertionError(f"level {i} was built past the budget")
+        return build(p, i, copies)
+
+    monkeypatch.setattr(procyclic.homology, "build_lamplighter", build_below_budget)
+    code, out, _ = run_cli(capsys, "tower", "--p", "2", "--imax", "3")
+    assert code == 3
+    assert out.endswith(
+        "stopped: bar resolution needs |G| <= 64, got 512 "
+        "(set PROCYCLIC_MAX_BAR to raise the budget)\n"
+    )
+
+
 def test_tower(capsys):
     code, out, _ = run_cli(capsys, "tower", "--p", "2", "--imax", "1", "--json")
     assert code == 0
@@ -427,6 +481,11 @@ BUDGETS = {
         ["antipode-check", "--p", "3", "--imax", "1", "--prec", "4", "--trials", "{n}"],
         ("reporting", "MAX_SIGMA_WORK", 2 * 8 * 8),
         8,
+    ),
+    "frobenius-imax": (
+        ["verify-frobenius", "--p", "3", "--prec", "4", "--imax", "{n}"],
+        ("cli", "MAX_FROBENIUS_LEVELS", 3),
+        3,
     ),
     "tau-prec": (["tau", "--p", "2", "--alpha", "-1", "--prec", "{n}"], ("cli", "MAX_PREC", 16), 16),
     "frobenius-prec": (

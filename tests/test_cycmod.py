@@ -197,15 +197,14 @@ def test_mixed_primes_rejected():
 @pytest.mark.parametrize("p", (2, 3))
 @pytest.mark.parametrize("i", range(1, 7))
 def test_antipode_bijection_for_regular_modules(p, i):
-    m = regular_module(p, i)
-    check = antipode_iso_check(m, regular_antipode(p, i))
+    check = antipode_iso_check(regular_antipode(p, i))
     assert check.bijective
     assert (check.coinvariant_dim, check.tensor_dim) == (i, i)
 
 
 def test_antipode_trivial_module_identity():
     m = trivial_module(5, 1)
-    check = antipode_iso_check(m, FpMatrix.identity(5, 1))
+    check = antipode_iso_check(ModuleAntipode(m, FpMatrix.identity(5, 1)))
     assert check.bijective and check.coinvariant_dim == check.tensor_dim == 1
 
 
@@ -232,17 +231,18 @@ def test_batched_antipode_images_match_the_kronecker_route(p, i):
 @pytest.mark.parametrize("i", range(1, 9))
 def test_certificate_tensor_dim_matches_the_quotient(p, i):
     # the certificate ranks the tensor relations in its own accumulator
-    for m, antipode in (
-        (regular_module(p, i), regular_antipode(p, i)),
-        (trivial_module(p, min(i, 3)), FpMatrix.identity(p, min(i, 3))),
+    trivial = trivial_module(p, min(i, 3))
+    for antipode in (
+        regular_antipode(p, i),
+        ModuleAntipode(trivial, FpMatrix.identity(p, min(i, 3))),
     ):
-        check = antipode_iso_check(m, antipode)
+        m = antipode.module
+        check = antipode_iso_check(antipode)
         assert check.tensor_dim == tensor_over_groupring(m, m).dim
         assert check.coinvariant_dim == diagonal_coinvariants(m, m).dim
 
 
 def test_certificate_takes_one_rank_and_no_tensor_quotient(monkeypatch):
-    m = regular_module(3, 6)
     antipode = regular_antipode(3, 6)
     calls = {"rank": 0, "tensor": 0}
 
@@ -258,7 +258,7 @@ def test_certificate_takes_one_rank_and_no_tensor_quotient(monkeypatch):
         cycmod, "tensor_over_groupring", counted("tensor", cycmod.tensor_over_groupring)
     )
     for _ in range(2):
-        assert antipode_iso_check(m, antipode).bijective
+        assert antipode_iso_check(antipode).bijective
     # one rank per check: the coinvariant quotient's
     assert calls == {"rank": 2, "tensor": 0}
 
@@ -271,7 +271,7 @@ def test_identity_is_not_an_antipode_certificate(p, i):
     fake = ModuleAntipode.__new__(ModuleAntipode)
     object.__setattr__(fake, "module", m)
     object.__setattr__(fake, "matrix", FpMatrix.identity(p, i))
-    check = antipode_iso_check(m, fake)
+    check = antipode_iso_check(fake)
     assert check.bijective is False
     assert (check.coinvariant_dim, check.tensor_dim) == (i, i)
 
@@ -281,9 +281,21 @@ def test_corrupted_antipode_rejected():
     good = regular_antipode(2, 3).matrix.array.copy()
     good[0, 1] ^= 1  # break the twist
     with pytest.raises(UsageError):
-        antipode_iso_check(m, FpMatrix(2, good))
+        ModuleAntipode(m, FpMatrix(2, good))
     with pytest.raises(UsageError):
         ModuleAntipode(m, FpMatrix(2, np.zeros((3, 3), dtype=np.int64)))
+    # the certificate takes a checked ModuleAntipode, never a bare matrix
+    with pytest.raises(UsageError):
+        antipode_iso_check(FpMatrix(2, good))
+
+
+def test_module_and_antipode_take_fp_matrices_only():
+    # a raw array is refused, not converted
+    with pytest.raises(UsageError):
+        FpCModule(2, np.eye(2, dtype=np.int64))
+    m = regular_module(2, 3)
+    with pytest.raises(UsageError):
+        ModuleAntipode(m, regular_antipode(2, 3).matrix.array)
 
 
 # -- infinite-cyclic action homology ---------------------------------------------

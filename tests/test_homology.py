@@ -119,6 +119,100 @@ def test_bar_h2_trivial_group():
     assert bar_h2(cyclic_group(2, 0)) == 0
 
 
+# -- the bar chains against their definitions -----------------------------------
+
+
+def relabelled(group, shift):
+    """group with index x renamed (x + shift) mod |G|, so e moves off index 0."""
+    m = group.order
+    new = (np.arange(m) + shift) % m
+    table = np.empty((m, m), dtype=np.int64)
+    table[np.ix_(new, new)] = new[group.table]
+    return FiniteGroup(group.p, table)
+
+
+def bar_reference(group):
+    """d2 (one column per [g|h]) and the d3 rows [g|h|k], in g, h, k order,
+    straight from the formulas with group.mul, faces with e dropped."""
+    e = group.identity
+    elems = [g for g in range(group.order) if g != e]
+    c1 = {g: a for a, g in enumerate(elems)}
+    m1 = len(elems)
+    d2 = np.zeros((m1, m1 * m1), dtype=np.int64)
+    d3 = np.zeros((m1**3, m1 * m1), dtype=np.int64)
+    for col, (g, h) in enumerate((g, h) for g in elems for h in elems):
+        for sign, x in ((1, h), (-1, group.mul(g, h)), (1, g)):
+            if x != e:
+                d2[c1[x], col] += sign
+    triples = ((g, h, k) for g in elems for h in elems for k in elems)
+    for row, (g, h, k) in enumerate(triples):
+        faces = ((h, k), (group.mul(g, h), k), (g, group.mul(h, k)), (g, h))
+        for sign, (x, y) in zip((1, -1, 1, -1), faces):
+            if x != e and y != e:
+                d3[row, c1[x] * m1 + c1[y]] += sign
+    return d2 % group.p, d3 % group.p
+
+
+class RecordingAccumulator:
+    """Keeps every row it is fed: F_2 rows as ints, odd-p rows as arrays."""
+
+    def __init__(self):
+        self.bits, self.blocks = [], []
+
+    def add_bits(self, row):
+        self.bits.append(row)
+
+    def add_rows(self, rows):
+        self.blocks.append(np.array(rows))
+
+
+BAR_GROUPS = {
+    "D4": dihedral8,
+    "Q8": quaternion8,
+    "Z2^3 e=5": lambda: relabelled(elementary_abelian(2, 3), 5),
+    "trivial F2": lambda: cyclic_group(2, 0),
+    "Z9": lambda: cyclic_group(3, 2),
+    "Z3^2": lambda: elementary_abelian(3, 2),
+    "Z9 e=4": lambda: relabelled(cyclic_group(3, 2), 4),
+    "trivial F3": lambda: cyclic_group(3, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAR_GROUPS))
+def test_bar_chains_match_their_definitions(name):
+    group = BAR_GROUPS[name]()
+    d2, d3 = bar_reference(group)
+    prod = homology._bar_products(group)
+    assert np.array_equal(homology._boundary2_matrix(group.p, prod).array, d2)
+    acc = RecordingAccumulator()
+    homology._stream_d3(group.p, prod, acc)
+    ncols = d3.shape[1]
+    if group.p == 2:
+        assert not acc.blocks
+        fed = [[row >> c & 1 for c in range(ncols)] for row in acc.bits]
+    else:
+        assert not acc.bits
+        fed = [row for block in acc.blocks for row in block]
+    assert np.array_equal(np.array(fed, dtype=np.int64).reshape(len(fed), ncols), d3)
+
+
+# a central element of order p in each group, as its index there
+@pytest.mark.parametrize("name, central", [("D4", 2), ("Z9", 3), ("Z9 e=4", 7), ("Q8", 1)])
+def test_chain_map_matches_the_homomorphism(name, central):
+    group = BAR_GROUPS[name]()
+    quotient, hom = group.quotient(group.subgroup_closure([central]))
+    elems = [g for g in range(group.order) if g != group.identity]
+    q_elems = [g for g in range(quotient.order) if g != quotient.identity]
+    expected = [
+        q_elems.index(hom(g)) * len(q_elems) + q_elems.index(hom(h))
+        if quotient.identity not in (hom(g), hom(h))
+        else -1
+        for g in elems
+        for h in elems
+    ]
+    assert homology._chain_map_c2(hom).tolist() == expected
+
+
 def _refusal(engine, group):
     """The ResourceLimitError message engine raises on group, or None."""
     try:
