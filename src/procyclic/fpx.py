@@ -28,6 +28,13 @@ A product takes one of four exact kernels, chosen by the operands:
   2^(w*s) mod p.  An entry more than 1/4 from an integer raises
   ArithmeticError, so a rounded product is never returned.
 
+The FFT kernel also takes two equal-shaped stacks of coefficient rows with
+a leading row axis and returns their row-by-row products; la and lb are
+then the common support lengths, the largest over the rows of each stack,
+so the limb bound and the 1/4 check cover every row.  ``mul_rows`` takes
+this stacked kernel at every N, so a block of products pays the numpy call
+overhead once; ``TruncSeries.__mul__`` keeps the choice above.
+
 ``mul_schoolbook`` (int64 convolution at any N) is the oracle for all of
 them.
 
@@ -361,8 +368,15 @@ def _mul_small_support(dense: np.ndarray, sparse: np.ndarray, p: int) -> np.ndar
 
 
 def _support_end(a: np.ndarray) -> int:
-    """One past the index of the last nonzero entry of a nonzero array."""
-    return a.size - int(np.argmax(a[::-1] != 0))
+    """One past the last nonzero column of an array or row stack.
+
+    For a stack with a leading row axis this is the common support length,
+    the largest over its rows.  A zero array gives its full length.
+    """
+    nz = a != 0
+    if nz.ndim > 1:
+        nz = nz.any(axis=0)
+    return nz.size - int(np.argmax(nz[::-1]))
 
 
 def _convolve_float(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarray:
@@ -388,17 +402,19 @@ def _limb_split(p: int, la: int, lb: int, n: int) -> tuple[int, int]:
 
 
 def _convolve_fft(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarray:
-    # exact by the limb bound, or ArithmeticError: see the module docstring
+    # exact by the limb bound, or ArithmeticError: see the module docstring;
+    # a and b are single rows or equal-shaped stacks with a leading row axis
     square = b is a
-    a = a[: _support_end(a)]
-    b = a if square else b[: _support_end(b)]
-    m = min(prec, a.size + b.size - 1)
-    size = 1 << (a.size + b.size - 2).bit_length()
-    k, w = _limb_split(p, a.size, b.size, size.bit_length() - 1)
+    a = a[..., : _support_end(a)]
+    b = a if square else b[..., : _support_end(b)]
+    la, lb = a.shape[-1], b.shape[-1]
+    m = min(prec, la + lb - 1)
+    size = 1 << (la + lb - 2).bit_length()
+    k, w = _limb_split(p, la, lb, size.bit_length() - 1)
     mask = (1 << w) - 1
     fa = [np.fft.rfft((a >> (w * i)) & mask, size) for i in range(k)]
     fb = fa if square else [np.fft.rfft((b >> (w * i)) & mask, size) for i in range(k)]
-    out = np.zeros(prec, dtype=np.int64)
+    out = np.zeros(a.shape[:-1] + (prec,), dtype=np.int64)
     for s in range(2 * k - 1):
         lo, hi = max(0, s - k + 1), min(s, k - 1)
         spec = fa[lo] * fb[s - lo]
@@ -406,14 +422,25 @@ def _convolve_fft(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarray
             spec += fa[i] * fb[s - i]
         if s >= k - 1:
             fa[lo] = fb[lo] = None  # the last sum that uses limb lo
-        y = np.fft.irfft(spec, size)[:m]
+        y = np.fft.irfft(spec, size)[..., :m]
         del spec
         r = np.rint(y)
         if np.abs(y - r).max() > 0.25:
             raise ArithmeticError("FFT product is not within 1/4 of an integer")
-        out[:m] += r.astype(np.int64) % p * pow(2, w * s, p)
-    out[:m] %= p
+        out[..., :m] += r.astype(np.int64) % p * pow(2, w * s, p)
+    out[..., :m] %= p
     return out
+
+
+def mul_rows(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row products mod x^N of two (rows, N) int64 coefficient stacks.
+
+    Entries must lie in [0, p), the shapes be equal and p be a validated
+    prime; nothing is checked.  Row r of the new (rows, N) int64 result
+    holds a[r] * b[r] mod x^N, reduced into [0, p).  Every N takes one
+    stacked FFT product, so the numpy call overhead is paid once per stack.
+    """
+    return _convolve_fft(a, b, p, a.shape[1])
 
 
 def mul_schoolbook(a: TruncSeries, b: TruncSeries) -> TruncSeries:

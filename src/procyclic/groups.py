@@ -321,9 +321,6 @@ class GroupHom:
     def __setattr__(self, name, value):
         raise AttributeError("GroupHom is immutable")
 
-    def __call__(self, a: int) -> int:
-        return int(self.images[a])
-
 
 # -- builders ----------------------------------------------------------
 

@@ -5,6 +5,14 @@ sum(d[i] * p^i) modulo p^k.  These serve as exponents for the procyclic
 action on power series, so the arithmetic here is plain ring arithmetic
 mod p^k, implemented digit-by-digit with explicit carry propagation.
 Values are immutable and operations pure.
+
+Sums carry through ``add_digit_rows``, which adds two stacks of digit rows
+at once: a digit sum s_j = a_j + b_j decides its own carry out unless
+s_j = p - 1, where it passes the carry in on, so the carry into digit i is
+set by the last deciding digit below i, found for every i with one running
+maximum.  ``PadicInt.__add__`` is its one-row case, and negation adds one
+to the digit complement.  A product carries its digit convolution, whose
+column sums exceed 2p, digit by digit.
 """
 
 from __future__ import annotations
@@ -15,6 +23,24 @@ from .errors import UsageError, exact_int, exact_ints
 from .fpx import validate_prime
 
 __all__ = ["PadicInt"]
+
+
+def add_digit_rows(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row sums mod p^k of two (rows, k) int64 digit stacks.
+
+    Entries must lie in [0, p) and p be a validated prime; nothing is
+    checked.  Row r of the new (rows, k) int64 result holds the base-p
+    digits, digit 0 first, of the sum of rows a[r] and b[r] mod p^k.
+    """
+    s = a + b
+    # code_j = 2(j + 1) + carry out of digit j where digit j decides it,
+    # else 0; the running maximum picks the last deciding digit
+    code = (s >= p) + np.arange(2, 2 * s.shape[1] + 2, 2)
+    code *= s != p - 1
+    np.maximum.accumulate(code, axis=1, out=code)
+    s[:, 1:] += code[:, :-1] & 1
+    s[s >= p] -= p  # s + carry <= 2p - 1
+    return s
 
 
 class PadicInt:
@@ -88,23 +114,17 @@ class PadicInt:
 
     def __add__(self, other: "PadicInt") -> "PadicInt":
         self._check_compatible(other)
-        p, k = self.p, self.prec
-        out = np.zeros(k, dtype=np.int64)
-        carry = 0
-        for i in range(k):
-            carry, out[i] = divmod(int(self.digits[i]) + int(other.digits[i]) + carry, p)
-        return PadicInt(p, out, k)
+        out = add_digit_rows(self.p, self.digits[None], other.digits[None])
+        return PadicInt(self.p, out[0], self.prec)
 
     def __neg__(self) -> "PadicInt":
         if self.is_zero():
             return self
-        # p-complement of every digit, plus one, carries included
-        p, k = self.p, self.prec
-        out = np.zeros(k, dtype=np.int64)
-        carry = 1
-        for i in range(k):
-            carry, out[i] = divmod(p - 1 - int(self.digits[i]) + carry, p)
-        return PadicInt(p, out, k)
+        # (p-1)-complement of every digit, plus one
+        one = np.zeros((1, self.prec), dtype=np.int64)
+        one[0, 0] = 1
+        out = add_digit_rows(self.p, self.p - 1 - self.digits[None], one)
+        return PadicInt(self.p, out[0], self.prec)
 
     def __sub__(self, other: "PadicInt") -> "PadicInt":
         return self + (-other)

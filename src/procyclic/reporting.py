@@ -37,7 +37,7 @@ from .cycmod import (
     tensor_over_groupring,
 )
 from .errors import ResourceLimitError, SearchExhaustedError, UsageError
-from .fpx import LaurentTrunc, TruncSeries, validate_prime
+from .fpx import LaurentTrunc, TruncSeries, mul_rows, validate_prime
 from .groups import (
     build_lamplighter,
     cyclic_group,
@@ -46,14 +46,16 @@ from .groups import (
     max_group_order,
 )
 from .homology import TowerRow, bar_h2, five_term_check, max_bar_order, tower_report
-from .padic import PadicInt
+from .padic import PadicInt, add_digit_rows
 from .taumap import min_digit_precision, sigma, tau, tau_rows
 
 DEFAULT_SEED = 20240801
 
-# section_tau_soundness evaluates tau for this many exponents per tau_rows
-# call.  Blocks bound the temporaries: the section's tracemalloc peak is
-# 0.7 MB with blocks of 20 and 2.9 MB with 300 rows per call.
+# section_tau_soundness runs this many trials per block: one stacked carry
+# sum, tau_rows call and product for the homomorphism trials, one tau_rows
+# call for the continuity trials.  Blocks bound the temporaries: the
+# section's tracemalloc peak is 0.8 MB with blocks of 20 and 3.6 MB with
+# blocks of 300.
 TAU_BLOCK = 20
 
 # section_antipode_series refuses trials * prec^2 above this.  Each trial
@@ -123,13 +125,14 @@ class ReportDocument:
 
 
 def _random_series(rng: random.Random, p: int, prec: int) -> TruncSeries:
-    return TruncSeries(p, [rng.randrange(p) for _ in range(prec)], prec)
+    coeffs = [rng.randrange(p) for _ in range(prec)]
+    return TruncSeries(p, np.array(coeffs, dtype=np.int64), prec)
 
 
 def _random_unit(rng: random.Random, p: int, prec: int) -> TruncSeries:
     coeffs = [rng.randrange(p) for _ in range(prec)]
     coeffs[0] = rng.randrange(1, p) if p > 2 else 1
-    return TruncSeries(p, coeffs, prec)
+    return TruncSeries(p, np.array(coeffs, dtype=np.int64), prec)
 
 
 # -- individual sections --------------------------------------------------
@@ -145,17 +148,22 @@ def section_frobenius(primes=(2, 3, 5), i_max: int = 10, prec: int = 4096) -> Se
     and never by assuming the identity under test, so a level that fails
     its check still hands the true power to the next.  Once a level holds,
     its value has two nonzero terms, and every later product takes the
-    small-support kernel.  The oracle powers 1 - x from scratch at every
-    level: tests/test_acceptance.py::test_01_frobenius_identity, and the
+    small-support kernel.  Once the left side is the series 1, as it is from
+    level log_p(prec) on when the identity holds, later levels take no
+    product: 1^p = 1 is ring arithmetic on the computed value.  The oracle
+    powers 1 - x from scratch at every level:
+    tests/test_acceptance.py::test_01_frobenius_identity, and the
     row-for-row comparison in tests/test_reporting.py.
     """
     rows = []
     ok = True
     for p in primes:
+        one = TruncSeries.one(p, prec)
         lhs = TruncSeries.one_minus_x(p, prec)
         for i in range(1, i_max + 1):
-            lhs = lhs**p
-            rhs = TruncSeries.one(p, prec) - TruncSeries.monomial(p, prec, p**i)
+            if lhs != one:  # 1^p = 1 needs no product
+                lhs = lhs**p
+            rhs = one - TruncSeries.monomial(p, prec, p**i)
             good = lhs == rhs
             ok &= good
             rows.append({"p": p, "i": i, "exact": good})
@@ -172,16 +180,19 @@ def section_tau_soundness(
 
     - ``geometric``: tau(-1) equals the Newton inverse of 1 - x;
     - ``hom_trials``: tau(a + b) = tau(a) * tau(b), where a + b comes from
-      the digit-carry addition of ``PadicInt``, each image from tau's closed
-      form, and the right side from the ring product of ``TruncSeries``;
+      the digit-carry sum ``add_digit_rows``, each image from tau's closed
+      form ``tau_rows``, and the right side from the exact series product
+      ``mul_rows``;
     - ``continuity_trials``: exponents that agree in their first ``depth``
       digits have images that agree below x^(p^depth) (or x^prec).
 
     The trials draw the same digits in the same order as one tau call per
-    exponent would, but the closed form is evaluated for up to TAU_BLOCK
-    exponents per ``tau_rows`` call.
+    exponent would, but run in blocks of up to TAU_BLOCK trials.  A block of
+    n homomorphism trials is one stacked carry sum of its n digit pairs, one
+    ``tau_rows`` call on the 3n digit rows of a, b and a + b, one stacked
+    product of the n pairs of images and one row comparison; a block of
+    continuity trials is one ``tau_rows`` call on its 2n exponents.
     """
-    series = TruncSeries._reduced  # wraps a read-only row view, no copy
     rows = []
     ok = True
     rng = random.Random(seed)
@@ -192,18 +203,14 @@ def section_tau_soundness(
         ).invert()
         hom_trials = 0
         for start in range(0, trials, TAU_BLOCK):
-            triples = []
-            for _ in range(min(TAU_BLOCK, trials - start)):
-                a = PadicInt(p, [rng.randrange(p) for _ in range(k)])
-                b = PadicInt(p, [rng.randrange(p) for _ in range(k)])
-                triples.append((a, b, a + b))
-            ta, tb, tsum = (
-                tau_rows(p, np.array([e.digits for e in column]), prec)
-                for column in zip(*triples)
-            )
-            for x, y, s in zip(ta, tb, tsum):
-                if series(p, s) == series(p, x) * series(p, y):
-                    hom_trials += 1
+            n = min(TAU_BLOCK, trials - start)
+            # trial t draws the k digits of a, then the k digits of b
+            draws = [[rng.randrange(p) for _ in range(2 * k)] for _ in range(n)]
+            pairs = np.array(draws, dtype=np.int64).reshape(n, 2, k)
+            a, b = pairs[:, 0], pairs[:, 1]
+            images = tau_rows(p, np.concatenate([a, b, add_digit_rows(p, a, b)]), prec)
+            ta, tb, tsum = images[:n], images[n : 2 * n], images[2 * n :]
+            hom_trials += int((mul_rows(p, ta, tb) == tsum).all(axis=1).sum())
         cont_trials = 0
         for start in range(0, trials, TAU_BLOCK):
             cuts, a_digits, b_digits = [], [], []

@@ -36,7 +36,7 @@ COEFFS = st.one_of(MALFORMED, st.lists(st.integers(-3, 6), max_size=3).map(
     lambda xs: ",".join(map(str, xs))
 ))
 # every report section runs in well under the deadline (the slowest,
-# tau-soundness, in about 0.05 s on a 2-CPU x86-64 host), so all are fuzzed
+# tau-soundness, in about 0.02 s on a 2-CPU x86-64 host), so all are fuzzed
 SECTIONS = st.sampled_from(SECTION_ORDER)
 
 

@@ -167,6 +167,48 @@ def test_dense_kernels_match_schoolbook_at_every_cutoff(p, prec):
         assert b * a == mul_schoolbook(a, b)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+@pytest.mark.parametrize("prec", [1, 2, 64, 65, 256, 768, 769, 4096])
+def test_stacked_products_match_schoolbook_row_by_row(p, prec):
+    # rows with different supports: dense, all p - 1, short heads, few terms, zero
+    rng = random.Random(prec * p + 1)
+    dense = [random_series(rng, p, prec) for _ in range(2)]
+    top = TruncSeries(p, np.full(prec, p - 1), prec)
+    head = random_series(rng, p, min(7, prec)).extend(prec)
+    third = random_series(rng, p, max(1, prec // 3)).extend(prec)
+    zero = TruncSeries.zero(p, prec)
+    pairs = [tuple(dense), (top, top), (head, third), (dense[0], head)]
+    pairs += [(few_term_series(rng, p, prec, 2), dense[1]), (third, top)]
+    pairs += [(zero, dense[0]), (dense[1], zero), (zero, zero)]
+    a = np.array([x.coeffs for x, _ in pairs])
+    b = np.array([y.coeffs for _, y in pairs])
+    got = fpx.mul_rows(p, a, b)
+    assert got.shape == a.shape and got.dtype == np.int64
+    for row, (x, y) in zip(got, pairs):
+        assert np.array_equal(row, mul_schoolbook(x, y).coeffs)
+    assert not fpx.mul_rows(p, np.zeros_like(a), b).any()
+    assert not fpx.mul_rows(p, np.zeros_like(a), np.zeros_like(b)).any()
+    x, y = pairs[0]
+    assert np.array_equal(fpx.mul_rows(p, x.coeffs[None], y.coeffs[None])[0], (x * y).coeffs)
+
+
+@pytest.mark.parametrize("p, prec", [(3, 256), (65521, 4097)])  # one limb, two limbs
+def test_stacked_fft_product_raises_instead_of_rounding(p, prec, monkeypatch):
+    rng = random.Random(6)
+    a = np.array([random_series(rng, p, prec).coeffs for _ in range(5)])
+    b = np.array([random_series(rng, p, prec).coeffs for _ in range(5)])
+    irfft = np.fft.irfft
+
+    def perturbed(*args, **kwargs):
+        y = irfft(*args, **kwargs)
+        y[3, 17] += 0.4
+        return y
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    with pytest.raises(ArithmeticError):
+        fpx.mul_rows(p, a, b)
+
+
 def test_float_convolution_is_exact_up_to_the_cutoff():
     # every partial sum of the float64 path is an integer below this bound
     assert fpx.SCHOOLBOOK_CUTOFF * (fpx.MAX_PRIME - 1) ** 2 < 2**53

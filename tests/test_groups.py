@@ -432,8 +432,8 @@ def test_quotient_group():
     z4 = cyclic_group(2, 2)
     q, hom = z4.quotient([0, 2])
     assert q.order == 2
-    assert hom(0) == q.identity
-    assert hom(1) != q.identity
+    assert hom.images[0] == q.identity
+    assert hom.images[1] != q.identity
     with pytest.raises(UsageError):
         lamp = build_lamplighter(2, 2, 1)
         nonnormal = lamp.subgroup_closure([1])  # the base element 1

@@ -204,8 +204,8 @@ def test_chain_map_matches_the_homomorphism(name, central):
     elems = [g for g in range(group.order) if g != group.identity]
     q_elems = [g for g in range(quotient.order) if g != quotient.identity]
     expected = [
-        q_elems.index(hom(g)) * len(q_elems) + q_elems.index(hom(h))
-        if quotient.identity not in (hom(g), hom(h))
+        q_elems.index(hom.images[g]) * len(q_elems) + q_elems.index(hom.images[h])
+        if quotient.identity not in (hom.images[g], hom.images[h])
         else -1
         for g in elems
         for h in elems

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from procyclic import PadicInt, UsageError
+from procyclic.padic import add_digit_rows
 
 
 def test_from_int_examples():
@@ -39,6 +40,26 @@ def test_carry_arithmetic_against_integer_oracle():
             assert (a * b).to_int() == (x * y) % modulus
             assert (-a).to_int() == (-x) % modulus
             assert (a - b).to_int() == (x - y) % modulus
+
+
+@pytest.mark.parametrize(
+    "p, k", [(2, 1), (3, 1), (2, 8), (3, 6), (5, 4), (65521, 2), (2, 30), (3, 30)]
+)
+def test_stacked_carry_sums_against_integer_oracle(p, k):
+    rng = random.Random(p * k)
+    modulus = p**k
+    xs = [rng.randrange(modulus) for _ in range(40)]
+    ys = [rng.randrange(modulus) for _ in range(40)]
+    # full carry chains: p^k - 1 (every digit p - 1) plus 1, and plus p^j
+    xs += [modulus - 1] * (k + 1) + [modulus - 1 - rng.randrange(p)]
+    ys += [1] + [p**j for j in range(k)] + [modulus - 1]
+    a = np.array([PadicInt.from_int(x, p, k).digits for x in xs])
+    b = np.array([PadicInt.from_int(y, p, k).digits for y in ys])
+    sums = add_digit_rows(p, a, b)
+    assert sums.shape == a.shape and sums.dtype == np.int64
+    for row, x, y in zip(sums, xs, ys):
+        assert np.array_equal(row, PadicInt.from_int(x + y, p, k).digits)
+    assert not add_digit_rows(p, a[:1], np.array([PadicInt.from_int(-xs[0], p, k).digits])).any()
 
 
 def test_ring_axioms_random():
