@@ -6,7 +6,7 @@ to p^i collapses to the single monomial substitution x -> x^(p^i).  The
 digit expansion of alpha is therefore all tau needs.
 """
 
-from procyclic import PadicInt, TruncSeries, act, min_digit_precision, tau
+from procyclic import PadicInt, TruncSeries, min_digit_precision, tau
 
 p, N = 2, 32
 k = min_digit_precision(p, N)  # digits needed to resolve precision N
@@ -34,6 +34,6 @@ print("   (agree below x^8)")
 
 # the action on a series is multiplication by tau(alpha)
 f = TruncSeries.geometric(p, N)
-moved = act(PadicInt.from_int(4, p, k), f)
+moved = tau(PadicInt.from_int(4, p, k), f.prec) * f
 assert moved.truncate(4) == f.truncate(4)  # t^4 acts trivially mod x^4
 print("ok")

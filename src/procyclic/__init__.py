@@ -25,14 +25,12 @@ from .cycmod import (
     AntipodeCheck,
     FpCModule,
     ModuleAntipode,
-    QuotientDescription,
     antipode_iso_check,
     diagonal_coinvariants,
     regular_antipode,
     regular_module,
     tensor_over_groupring,
     trivial_module,
-    z_action_homology,
 )
 from .errors import (
     NotAUnitError,
@@ -73,7 +71,7 @@ from .linfp import (
     rank,
 )
 from .padic import PadicInt
-from .taumap import act, min_digit_precision, sigma, tau
+from .taumap import min_digit_precision, sigma, tau
 
 __version__ = "0.1.0"
 
@@ -96,7 +94,6 @@ __all__ = [
     # tau
     "tau",
     "sigma",
-    "act",
     "min_digit_precision",
     # linear algebra
     "FpMatrix",
@@ -106,7 +103,6 @@ __all__ = [
     # modules
     "FpCModule",
     "ModuleAntipode",
-    "QuotientDescription",
     "AntipodeCheck",
     "regular_module",
     "regular_antipode",
@@ -114,7 +110,6 @@ __all__ = [
     "diagonal_coinvariants",
     "tensor_over_groupring",
     "antipode_iso_check",
-    "z_action_homology",
     # census
     "CensusSet",
     "TensorRep",

@@ -407,7 +407,10 @@ def density_gap(f: TruncSeries, s: int, i_max: int) -> DensityGapResult:
     The returned witness is re-verified against every census element by
     direct comparison before being accepted.
     """
+    if not isinstance(f, TruncSeries):
+        raise UsageError(f"expected TruncSeries, got {type(f).__name__}")
     p = f.p
+    s, i_max = exact_int(s, "s"), exact_int(i_max, "i_max")
     if s < 0 or i_max < 1:
         raise UsageError("need s >= 0 and i_max >= 1")
     ps = p**s
@@ -463,7 +466,9 @@ class TensorRep:
     shift: int
 
     def __post_init__(self):
-        if self.shift < 0:
+        if not isinstance(self.left, TruncSeries):
+            raise UsageError(f"expected TruncSeries, got {type(self.left).__name__}")
+        if exact_int(self.shift, "tensor shift") < 0:
             raise UsageError("tensor shift must be nonnegative")
 
     def is_normalized(self) -> bool:
@@ -487,6 +492,8 @@ def kappa(laurent: LaurentTrunc) -> TensorRep:
     Nonnegative valuations fold into the left factor; negative valuations
     become the shift, so the result is always normalized.
     """
+    if not isinstance(laurent, LaurentTrunc):
+        raise UsageError(f"expected LaurentTrunc, got {type(laurent).__name__}")
     if laurent.is_zero():
         return TensorRep(TruncSeries.zero(laurent.p, laurent.prec), 0)
     if laurent.val >= 0:
@@ -496,4 +503,6 @@ def kappa(laurent: LaurentTrunc) -> TensorRep:
 
 def mu(rep: TensorRep) -> LaurentTrunc:
     """Multiply out a tensor representative: left * x^(-shift)."""
+    if not isinstance(rep, TensorRep):
+        raise UsageError(f"expected TensorRep, got {type(rep).__name__}")
     return LaurentTrunc.from_series(rep.left, -rep.shift)

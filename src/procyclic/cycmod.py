@@ -16,9 +16,9 @@ Both relation spans are generated by basis pairs only, which suffices
 because each relation is bilinear in (m, m').  Tensor coordinates are
 row-major: basis pair (i, j) sits at index i * dim(M') + j.
 
-Each quotient keeps its raw relation rows, and its dimension is the
-ambient dimension minus their rank.  No basis of either quotient is
-built: every number here is a rank from linfp's one elimination engine.
+Each quotient is returned as its dimension: the ambient dimension minus
+the rank of the relation rows.  No basis of either quotient is built:
+every number here is a rank from linfp's one elimination engine.
 
 The antipode of a module is an invertible S with S T = T^(-1) S; mapping
 m (x) m' to m (x) S m' carries the coinvariant relations into the tensor
@@ -36,13 +36,12 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError, exact_int
 from .fpx import validate_prime
-from .linfp import FpMatrix, SparseRankAccumulator, kernel_basis, matmul_mod, rank
+from .linfp import FpMatrix, SparseRankAccumulator, matmul_mod, rank
 from .taumap import min_digit_precision, times_sigma_x
 
 __all__ = [
     "FpCModule",
     "ModuleAntipode",
-    "QuotientDescription",
     "AntipodeCheck",
     "check_module_dim",
     "regular_module",
@@ -51,7 +50,6 @@ __all__ = [
     "diagonal_coinvariants",
     "tensor_over_groupring",
     "antipode_iso_check",
-    "z_action_homology",
 ]
 
 # Regular modules above this dimension are refused.  The quotients of the
@@ -147,7 +145,10 @@ def regular_module(p: int, i: int) -> FpCModule:
 
 
 def trivial_module(p: int, dim: int) -> FpCModule:
-    return FpCModule(p, FpMatrix.identity(p, exact_int(dim, "module dimension")))
+    dim = exact_int(dim, "module dimension")
+    if dim < 0:
+        raise UsageError(f"module dimension must be >= 0, got {dim}")
+    return FpCModule(p, FpMatrix.identity(p, dim))
 
 
 def regular_antipode(p: int, i: int) -> ModuleAntipode:
@@ -164,48 +165,39 @@ def regular_antipode(p: int, i: int) -> ModuleAntipode:
     return ModuleAntipode(mod, FpMatrix(p, cols.T))
 
 
-@dataclass(frozen=True)
-class QuotientDescription:
-    """A quotient of a tensor square: its dimension and its relation rows."""
-
-    p: int
-    ambient: int
-    dim: int
-    relations: FpMatrix  # one relation per row, spanning the killed subspace
-
-
 def _check_pair(m: FpCModule, m2: FpCModule) -> None:
     if m.p != m2.p:
         raise UsageError(f"mixed primes {m.p} and {m2.p}")
 
 
-def _quotient_by(m: FpCModule, m2: FpCModule, rel_matrix: np.ndarray) -> QuotientDescription:
-    ambient = m.dim * m2.dim
-    relations = FpMatrix(m.p, rel_matrix.T)
-    return QuotientDescription(
-        p=m.p, ambient=ambient, dim=ambient - rank(relations), relations=relations
-    )
+def _quotient_dim(p: int, relations: np.ndarray) -> int:
+    """The ambient dimension minus the rank of the relation rows."""
+    return relations.shape[1] - rank(FpMatrix(p, relations))
 
 
-def diagonal_coinvariants(m: FpCModule, m2: FpCModule) -> QuotientDescription:
-    """Quotient of M (x) M' by the span of T m (x) T'm' - m (x) m'."""
-    _check_pair(m, m2)
+def _coinvariant_relations(m: FpCModule, m2: FpCModule) -> np.ndarray:
+    """T m (x) T'm' - m (x) m' for the basis pairs, one relation per row."""
     k = np.kron(m.action.array, m2.action.array)
-    rel = (k - np.eye(k.shape[0], dtype=np.int64)) % m.p
-    return _quotient_by(m, m2, rel)
+    return ((k - np.eye(k.shape[0], dtype=np.int64)) % m.p).T
 
 
 def _tensor_relations(m: FpCModule, m2: FpCModule) -> np.ndarray:
-    """T m (x) m' - m (x) T'm' for the basis pairs, one relation per column."""
+    """T m (x) m' - m (x) T'm' for the basis pairs, one relation per row."""
     left = np.kron(m.action.array, np.eye(m2.dim, dtype=np.int64))
     right = np.kron(np.eye(m.dim, dtype=np.int64), m2.action.array)
-    return (left - right) % m.p
+    return ((left - right) % m.p).T
 
 
-def tensor_over_groupring(m: FpCModule, m2: FpCModule) -> QuotientDescription:
-    """Quotient of M (x) M' by the span of T m (x) m' - m (x) T'm'."""
+def diagonal_coinvariants(m: FpCModule, m2: FpCModule) -> int:
+    """dim of M (x) M' modulo the span of T m (x) T'm' - m (x) m'."""
     _check_pair(m, m2)
-    return _quotient_by(m, m2, _tensor_relations(m, m2))
+    return _quotient_dim(m.p, _coinvariant_relations(m, m2))
+
+
+def tensor_over_groupring(m: FpCModule, m2: FpCModule) -> int:
+    """dim of M (x) M' modulo the span of T m (x) m' - m (x) T'm'."""
+    _check_pair(m, m2)
+    return _quotient_dim(m.p, _tensor_relations(m, m2))
 
 
 @dataclass(frozen=True)
@@ -215,8 +207,8 @@ class AntipodeCheck:
     tensor_dim: int
 
 
-def _id_tensor_images(relations: FpMatrix, antipode: ModuleAntipode) -> np.ndarray:
-    """Rows of relations mapped by id (x) S, reduced mod p.
+def _id_tensor_images(relations: np.ndarray, antipode: ModuleAntipode) -> np.ndarray:
+    """Relation rows mapped by id (x) S, reduced mod p.
 
     A row-major tensor coordinate vector is a d x d matrix V, and id (x) S
     sends it to V S^T, so all rows go through one batched d x d product
@@ -224,7 +216,7 @@ def _id_tensor_images(relations: FpMatrix, antipode: ModuleAntipode) -> np.ndarr
     """
     s = antipode.matrix.array
     d = s.shape[0]
-    return matmul_mod(relations.array.reshape(-1, d, d), s.T, relations.p).reshape(-1, d * d)
+    return matmul_mod(relations.reshape(-1, d, d), s.T, antipode.matrix.p).reshape(-1, d * d)
 
 
 def antipode_iso_check(antipode: ModuleAntipode) -> AntipodeCheck:
@@ -239,27 +231,14 @@ def antipode_iso_check(antipode: ModuleAntipode) -> AntipodeCheck:
     if not isinstance(antipode, ModuleAntipode):
         raise UsageError("antipode_iso_check needs a ModuleAntipode")
     m = antipode.module
-    coinv = diagonal_coinvariants(m, m)
-    acc = SparseRankAccumulator(coinv.ambient, m.p)
-    acc.add_rows(_tensor_relations(m, m).T)
-    tensor_dim = coinv.ambient - acc.rank
-    carried = acc.add_rows(_id_tensor_images(coinv.relations, antipode)) == 0
+    coinv = _coinvariant_relations(m, m)
+    coinvariant_dim = _quotient_dim(m.p, coinv)
+    acc = SparseRankAccumulator(coinv.shape[1], m.p)
+    acc.add_rows(_tensor_relations(m, m))
+    tensor_dim = acc.ncols - acc.rank
+    carried = acc.add_rows(_id_tensor_images(coinv, antipode)) == 0
     return AntipodeCheck(
-        bijective=carried and coinv.dim == tensor_dim,
-        coinvariant_dim=coinv.dim,
+        bijective=carried and coinvariant_dim == tensor_dim,
+        coinvariant_dim=coinvariant_dim,
         tensor_dim=tensor_dim,
     )
-
-
-def z_action_homology(m: FpCModule) -> tuple[int, int]:
-    """(dim coker(I - T), dim ker(I - T)) for the generator action T.
-
-    This is the homology of an infinite-cyclic action at a finite stage.
-    Degrees zero and one are eliminated from different inputs: the columns
-    of I - T for the cokernel, its rows for the null-space basis.
-    """
-    d = m.dim
-    one_minus_t = FpMatrix(m.p, (np.eye(d, dtype=np.int64) - m.action.array) % m.p)
-    h0 = d - rank(one_minus_t.transpose())
-    h1 = kernel_basis(one_minus_t).rows
-    return h0, h1

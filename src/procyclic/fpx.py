@@ -463,6 +463,8 @@ class LaurentTrunc:
 
     def __init__(self, val: int, body: TruncSeries):
         val = exact_int(val, "Laurent valuation")
+        if not isinstance(body, TruncSeries):
+            raise UsageError(f"expected TruncSeries, got {type(body).__name__}")
         if body.is_zero():
             val = 0
         elif body.coeffs[0] == 0:

@@ -36,8 +36,8 @@ where faces containing the identity are dropped.  Then
 Both boundaries are gathered from one table, prod[a, b] = position of
 g_a g_b among the non-identity elements (-1 at the identity), and both
 ranks stream through linfp.SparseRankAccumulator: d2 via linfp.rank, and
-d3 (never materialized) bit-packed over F_2, otherwise the (m-1)^2 rows
-of one g at a time.  d3 has (m-1)^3 rows of at most four entries each,
+d3 (never materialized) the (m-1)^2 rows of one g at a time, bit-packed
+over F_2.  d3 has (m-1)^3 rows of at most four entries each,
 so order 64 is the practical ceiling (a quarter-million rows) and is
 also the default budget, which both engines share.  bar_h2 is cycles
 modulo boundaries from an empty accumulator; the five-term check forms
@@ -129,42 +129,37 @@ def _boundary2_matrix(p: int, prod: np.ndarray) -> FpMatrix:
 
 
 def _stream_d3(p: int, prod: np.ndarray, acc: SparseRankAccumulator) -> None:
-    """Feed every row of d3 to acc: bit-packed over F_2, one g at a time otherwise.
+    """Feed every row of d3 to acc, one g's (m-1)^2 rows at a time.
 
-    Row [g|h|k] has columns [h|k], [g|h] and, unless gh or hk is the
-    identity, [gh|k] and [g|hk], in the C_2 numbering of _bar_products.
+    Row h * (m-1) + k of g's block is [g|h|k], with the faces [h|k] - [g|h]
+    - [gh|k] + [g|hk] in the C_2 numbering of _bar_products; a face whose
+    gh or hk is the identity goes to the sentinel column n = (m-1)^2.  The
+    four face columns are formed once per g for every p.  Odd p scatters
+    them into a dense block, dropping column n; over F_2 each row is the
+    xor of one precomputed one-bit int per face, 0 at the sentinel.
     """
     m1 = len(prod)
-    if p == 2:
-        rows = prod.tolist()
-        for a in range(m1):
-            a_base = a * m1
-            prod_a = rows[a]
-            for b in range(m1):
-                b_base = b * m1
-                gh = prod_a[b]
-                gh_base = gh * m1 if gh >= 0 else -1
-                base = 1 << (a_base + b)  # [g|h]
-                for c, hk in enumerate(rows[b]):
-                    row = base ^ (1 << (b_base + c))  # [h|k]
-                    if gh_base >= 0:
-                        row ^= 1 << (gh_base + c)  # [gh|k]
-                    if hk >= 0:
-                        row ^= 1 << (a_base + hk)  # [g|hk]
-                    acc.add_bits(row)
-        return
-    # row h * m1 + k of one g's block is [g|h|k]; within one update the rows
-    # are distinct, so += is exact; faces with gh or hk = e land in column n
     n = m1 * m1
     r = np.arange(n)
     h, k = np.divmod(r, m1)
     hk = prod.reshape(-1)
+    bit = [1 << c for c in range(n)] + [0] if p == 2 else None
     for g in range(m1):
-        rows = np.eye(n, n + 1, dtype=np.int64)  # [h|k]
-        rows[r, g * m1 + h] -= 1  # [g|h]
         gh = prod[g, h]
-        rows[r, np.where(gh >= 0, gh * m1 + k, n)] -= 1  # [gh|k]
-        rows[r, np.where(hk >= 0, g * m1 + hk, n)] += 1  # [g|hk]
+        faces = (
+            r,  # [h|k]
+            g * m1 + h,  # [g|h]
+            np.where(gh >= 0, gh * m1 + k, n),  # [gh|k]
+            np.where(hk >= 0, g * m1 + hk, n),  # [g|hk]
+        )
+        if bit is not None:
+            for a, b, c, d in zip(*(face.tolist() for face in faces)):
+                acc.add_bits(bit[a] ^ bit[b] ^ bit[c] ^ bit[d])
+            continue
+        # within one update the rows are distinct, so += is exact
+        rows = np.zeros((n, n + 1), dtype=np.int64)
+        for face, sign in zip(faces, (1, -1, -1, 1)):
+            rows[r, face] += sign
         rows %= p
         acc.add_rows(rows[:, :n])
 
@@ -331,8 +326,8 @@ def tower_report(p: int, i_max: int) -> TowerReport:
             return TowerReport(p=p, rows=tuple(rows), complete=False, stopped_reason=str(exc))
         elab = i * (i + 1) // 2
         reg = regular_module(p, i)
-        coinv = diagonal_coinvariants(reg, reg).dim
-        tensor = tensor_over_groupring(reg, reg).dim
+        coinv = diagonal_coinvariants(reg, reg)
+        tensor = tensor_over_groupring(reg, reg)
         bound = coinv + 2 * elab
         rows.append(
             TowerRow(

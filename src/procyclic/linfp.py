@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError, exact_ints
+from .errors import ResourceLimitError, UsageError, exact_int, exact_ints
 from .fpx import MAX_PRIME, validate_prime
 
 __all__ = [
@@ -239,8 +239,14 @@ def rref(matrix: FpMatrix) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def _check_matrix(matrix) -> None:
+    if not isinstance(matrix, FpMatrix):
+        raise UsageError(f"expected FpMatrix, got {type(matrix).__name__}")
+
+
 def rank(matrix: FpMatrix) -> int:
     """Row rank over F_p: the rows stream through SparseRankAccumulator.add_rows."""
+    _check_matrix(matrix)
     acc = SparseRankAccumulator(matrix.cols, matrix.p)
     acc.add_rows(matrix.array)
     return acc.rank
@@ -253,6 +259,7 @@ def kernel_basis(matrix: FpMatrix) -> FpMatrix:
     accumulator's reduced basis, zeros at the other free columns; the rows
     are independent by construction.
     """
+    _check_matrix(matrix)
     acc = SparseRankAccumulator(matrix.cols, matrix.p)
     acc.add_rows(matrix.array)
     pivcols, reduced = acc.reduced()
@@ -292,9 +299,16 @@ class SparseRankAccumulator:
     largest rank is 2,098,176).  The block path reduces its sums mod p by
     the exact float step of _mod_exact.  The float64 basis starts at
     min(16, ncols) rows and doubles as the rank grows.
+
+    Every route refuses, with UsageError, a row that reaches past column
+    ncols - 1: a wider array, a longer bit-packed int or a pair's column
+    outside [0, ncols).
     """
 
     def __init__(self, ncols: int, p: int):
+        ncols = exact_int(ncols, "column count")
+        if ncols < 0:
+            raise UsageError(f"column count must be >= 0, got {ncols}")
         self.ncols = ncols
         self.p = validate_prime(p)
         self.rank = 0
@@ -304,14 +318,19 @@ class SparseRankAccumulator:
 
     def add_pairs(self, pairs) -> bool:
         """Add a row given as (column, value) pairs; True if rank grew."""
+        ncols = self.ncols
         if self.p == 2:
             row = 0
             for c, v in pairs:
+                if not 0 <= c < ncols:
+                    raise UsageError(f"column {c} is not in [0, {ncols})")
                 if v % 2:
                     row ^= 1 << c
             return self._add_bits(row)
-        row = np.zeros(self.ncols, dtype=np.int64)
+        row = np.zeros(ncols, dtype=np.int64)
         for c, v in pairs:
+            if not 0 <= c < ncols:
+                raise UsageError(f"column {c} is not in [0, {ncols})")
             row[c] = (row[c] + v) % self.p
         return self._add_dense(row)
 
@@ -319,6 +338,8 @@ class SparseRankAccumulator:
         """Add a bit-packed row (p = 2 only); True if the rank grew."""
         if self.p != 2:
             raise UsageError("bit-packed rows only make sense over F_2")
+        if row < 0 or row.bit_length() > self.ncols:
+            raise UsageError(f"bit-packed row does not fit in {self.ncols} columns")
         return self._add_bits(row)
 
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
@@ -353,6 +374,8 @@ class SparseRankAccumulator:
         add_bits; for odd p the rows go to the block step BLOCK_ROWS at a
         time.  Returns how many pivots the rows added.
         """
+        if rows.ndim != 2 or rows.shape[1] != self.ncols:
+            raise UsageError(f"rows of shape {rows.shape} do not have {self.ncols} columns")
         before = self.rank
         nonzero = np.flatnonzero(rows.any(axis=1))
         if self.p == 2:

@@ -310,8 +310,8 @@ def section_finite_collapse() -> Section:
     for p in (2, 3):
         for i in range(1, 9):
             mod = regular_module(p, i)
-            coinv = diagonal_coinvariants(mod, mod).dim
-            tensor = tensor_over_groupring(mod, mod).dim
+            coinv = diagonal_coinvariants(mod, mod)
+            tensor = tensor_over_groupring(mod, mod)
             good = coinv == i and tensor == i
             ok &= good
             rows.append({"p": p, "i": i, "coinv_dim": coinv, "tensor_gr_dim": tensor})

@@ -51,7 +51,7 @@ from .errors import UsageError, exact_int
 from .fpx import TruncSeries, validate_prime
 from .padic import PadicInt
 
-__all__ = ["tau", "sigma", "act", "min_digit_precision"]
+__all__ = ["tau", "sigma", "min_digit_precision"]
 
 
 def min_digit_precision(p: int, prec: int) -> int:
@@ -157,9 +157,3 @@ def sigma(f: TruncSeries) -> TruncSeries:
         times_sigma_x(out[k + 1 :], f.p)
     return TruncSeries._reduced(f.p, out)
 
-
-def act(alpha: PadicInt, f: TruncSeries) -> TruncSeries:
-    """Multiply f by tau(alpha): the procyclic module action on series."""
-    if alpha.p != f.p:
-        raise UsageError(f"mixed primes {alpha.p} and {f.p}")
-    return tau(alpha, f.prec) * f

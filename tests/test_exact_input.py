@@ -19,14 +19,20 @@ from procyclic import (
     GroupHom,
     LaurentTrunc,
     PadicInt,
+    TensorRep,
     TruncSeries,
     build_lamplighter,
     census_ratio_set,
     cyclic_group,
+    density_gap,
     elementary_abelian,
     enum_A,
+    kappa,
+    kernel_basis,
     lamplighter_socle,
+    mu,
     parse_series,
+    rank,
     regular_module,
     tau,
     tower_report,
@@ -154,11 +160,38 @@ def test_every_integer_dtype_matches_python_ints(case, typed):
         lambda: enum_A(2, 2.0),
         lambda: regular_module(2, 2.0),
         lambda: trivial_module(2, 2.0),
+        lambda: density_gap(TruncSeries.zero(2, 2), True, 2),
+        lambda: density_gap(TruncSeries.zero(2, 2), 1, 2.0),
+        lambda: TensorRep(TruncSeries(5, [1, 2]), 1.5),
+        lambda: TensorRep(TruncSeries(5, [1, 2]), False),
     ],
 )
 def test_non_integral_scalar_argument_is_refused(build):
     with pytest.raises(UsageError, match="must be an integer"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build,expected",
+    [
+        (lambda: density_gap([0, 1], 1, 2), "TruncSeries"),
+        (lambda: rank([[1]]), "FpMatrix"),
+        (lambda: kernel_basis([[1]]), "FpMatrix"),
+        (lambda: TensorRep([1, 2], 0), "TruncSeries"),
+        (lambda: kappa(TruncSeries.zero(2, 4)), "LaurentTrunc"),
+        (lambda: mu(TruncSeries(5, [1, 2])), "TensorRep"),
+        (lambda: LaurentTrunc(0, [1]), "TruncSeries"),
+    ],
+)
+def test_wrong_argument_type_is_refused(build, expected):
+    with pytest.raises(UsageError, match=f"expected {expected}, got"):
+        build()
+
+
+def test_negative_module_dimension_is_refused():
+    with pytest.raises(UsageError, match="module dimension must be >= 0"):
+        trivial_module(3, -1)
+    assert trivial_module(3, 0).dim == 0
 
 
 @pytest.mark.parametrize(

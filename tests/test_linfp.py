@@ -11,13 +11,12 @@ from procyclic import (
     ResourceLimitError,
     SparseRankAccumulator,
     UsageError,
-    diagonal_coinvariants,
     kernel_basis,
     rank,
     regular_antipode,
 )
 from procyclic import linfp
-from procyclic.cycmod import _id_tensor_images, _tensor_relations
+from procyclic.cycmod import _coinvariant_relations, _id_tensor_images, _tensor_relations
 from procyclic.fpx import MAX_PRIME
 from procyclic.linfp import (
     BLOCK_ROWS,
@@ -305,10 +304,10 @@ def test_coinv_relation_matrices_match_rref():
     # the three 256 x 256 eliminations of coinv --p 3 --i 16
     antipode = regular_antipode(3, 16)
     m = antipode.module
-    coinv = diagonal_coinvariants(m, m)
-    tensor = _tensor_relations(m, m).T
-    images = _id_tensor_images(coinv.relations, antipode)
-    for arr in (coinv.relations.array, tensor):
+    coinv = _coinvariant_relations(m, m)
+    tensor = _tensor_relations(m, m)
+    images = _id_tensor_images(coinv, antipode)
+    for arr in (coinv, tensor):
         acc = SparseRankAccumulator(256, 3)
         assert acc.add_rows(arr) == 256 - 16
         check_against_rref(*acc.reduced(), arr, 3)
@@ -441,6 +440,56 @@ def test_add_bits_requires_f2():
     assert acc2.add_bits(0b101)
     assert not acc2.add_bits(0b101)
     assert acc2.rank == 1
+
+
+@pytest.mark.parametrize("ncols", (2.0, 3.5, True, "3", None, -1))
+def test_accumulator_refuses_a_bad_column_count(ncols):
+    for p in (2, 3):
+        with pytest.raises(UsageError, match="column count"):
+            SparseRankAccumulator(ncols, p)
+
+
+def test_accumulator_takes_numpy_and_zero_column_counts():
+    acc = SparseRankAccumulator(np.int32(3), 3)
+    assert type(acc.ncols) is int and acc.ncols == 3
+    empty = SparseRankAccumulator(0, 2)
+    assert empty.add_rows(np.zeros((2, 0), dtype=np.int64)) == 0
+    assert not empty.add_bits(0)
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521))
+@pytest.mark.parametrize("width", (2, 4, 5))
+def test_add_rows_refuses_another_width(p, width):
+    acc = SparseRankAccumulator(3, p)
+    with pytest.raises(UsageError, match="do not have 3 columns"):
+        acc.add_rows(np.ones((2, width), dtype=np.int64))
+    with pytest.raises(UsageError, match="do not have 3 columns"):
+        acc.add_rows(np.ones(3, dtype=np.int64))
+    assert acc.rank == 0
+    assert acc.add_rows(np.eye(3, dtype=np.int64)) == 3
+
+
+def test_add_bits_refuses_bits_past_the_last_column():
+    acc = SparseRankAccumulator(3, 2)
+    for row in (1 << 3, 1 << 7, 0b1001, -1):
+        with pytest.raises(UsageError, match="does not fit in 3 columns"):
+            acc.add_bits(row)
+    assert acc.rank == 0
+    assert acc.add_bits(0b100) and acc.add_bits(0b011)
+    pivcols, rows = acc.reduced()
+    assert rows.shape == (2, 3) and set(pivcols.tolist()) <= {0, 1, 2}
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521))
+def test_add_pairs_refuses_a_column_outside_the_row(p):
+    acc = SparseRankAccumulator(5, p)
+    for pairs in ([(5, 1)], [(0, 1), (-1, 1)], [(7, 0)]):
+        with pytest.raises(UsageError, match=r"is not in \[0, 5\)"):
+            acc.add_pairs(pairs)
+    assert acc.rank == 0
+    assert acc.add_pairs([(0, 1), (4, 1)]) and acc.add_pairs([(4, 1)])
+    pivcols, rows = acc.reduced()
+    assert rows.shape == (2, 5) and set(pivcols.tolist()) <= set(range(5))
 
 
 def test_matmul_and_validation():

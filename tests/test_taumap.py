@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from procyclic import PadicInt, TruncSeries, UsageError, act, min_digit_precision, sigma, tau
+from procyclic import PadicInt, TruncSeries, UsageError, min_digit_precision, sigma, tau
 from procyclic import taumap
 
 PRIMES = (2, 3, 5)
@@ -261,7 +261,7 @@ def test_sigma_rejects_non_series():
         sigma(3)
 
 
-# -- act ----------------------------------------------------------------------
+# -- the action on series: multiplication by tau(alpha) ------------------------
 
 
 def test_act_identity_and_generator():
@@ -269,8 +269,8 @@ def test_act_identity_and_generator():
         prec = 24
         k = digits_for(p, prec)
         f = TruncSeries.geometric(p, prec)
-        assert act(PadicInt.zero(p, k), f) == f
-        assert act(PadicInt.from_int(1, p, k), TruncSeries.one(p, prec)) == (
+        assert tau(PadicInt.zero(p, k), prec) * f == f
+        assert tau(PadicInt.from_int(1, p, k), prec) * TruncSeries.one(p, prec) == (
             TruncSeries.one_minus_x(p, prec)
         )
 
@@ -281,7 +281,7 @@ def test_act_continuity_modulo_powers():
     k = digits_for(p, prec)
     for j in range(1, 6):
         f = TruncSeries(p, [rng.randrange(p) for _ in range(prec)], prec)
-        moved = act(PadicInt.from_int(p**j, p, k), f)
+        moved = tau(PadicInt.from_int(p**j, p, k), prec) * f
         assert moved.truncate(p**j) == f.truncate(p**j)
 
 
@@ -293,9 +293,9 @@ def test_act_is_group_action():
         a = random_exponent(rng, p, k)
         b = random_exponent(rng, p, k)
         f = TruncSeries(p, [rng.randrange(p) for _ in range(prec)], prec)
-        assert act(a + b, f) == act(a, act(b, f))
+        assert tau(a + b, prec) * f == tau(a, prec) * (tau(b, prec) * f)
 
 
 def test_act_rejects_mixed_primes():
     with pytest.raises(UsageError):
-        act(PadicInt.from_int(1, 3, 4), TruncSeries.one(2, 8))
+        tau(PadicInt.from_int(1, 3, 4), 8) * TruncSeries.one(2, 8)
