@@ -39,18 +39,18 @@ lamp = build_lamplighter(2, 2, 1)
 socle = lamplighter_socle(2, 2, 1)  # x F_2, central in the base
 report = five_term_check(lamp, socle)
 print(
-    f"  cokernel of H2(G) -> H2(G/H): {report.cokernel_dim}, "
-    f"subgroup-theoretic quotient: {report.hopf_dim}, equal: {report.equal}"
+    f"  cokernel of H2(G) -> H2(G/H): {report['cokernel_dim']}, "
+    f"subgroup-theoretic quotient: {report['hopf_dim']}, equal: {report['equal']}"
 )
-assert report.equal == (hopf_quotient(lamp, socle) == report.cokernel_dim)
+assert report["equal"] == (hopf_quotient(lamp, socle) == report["cokernel_dim"])
 
 print("\ndouble lamplighter tower over F_2:")
 tower = tower_report(2, 2)
 print("  i  order  h2  coinv  tensor  bound")
-for row in tower.rows:
+for row in tower.rows:  # report rows, keyed by the names the report prints
     print(
-        f" {row.level:>2} {row.order:>6} {row.h2_dim:>3} "
-        f"{row.coinvariant_dim:>6} {row.tensor_gr_dim:>7} {row.h2_lower_bound:>6}"
+        f" {row['i']:>2} {row['order']:>6} {row['h2_dim']:>3} "
+        f"{row['coinv_dim']:>6} {row['tensor_gr_dim']:>7} {row['lower_bound']:>6}"
     )
-    assert row.collapse_ok and row.inequality_ok
+    assert row["collapse_ok"] and row["inequality_ok"]
 print("ok")

@@ -56,9 +56,7 @@ from .groups import (
     lamplighter_socle,
 )
 from .homology import (
-    FiveTermReport,
     TowerReport,
-    TowerRow,
     bar_h2,
     five_term_check,
     minres_h2,
@@ -133,8 +131,6 @@ __all__ = [
     "minres_h2",
     "bar_h2",
     "five_term_check",
-    "FiveTermReport",
     "tower_report",
-    "TowerRow",
     "TowerReport",
 ]

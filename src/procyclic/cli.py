@@ -20,10 +20,10 @@ from functools import lru_cache
 from . import __version__
 from .census import check_census_budget, check_enum_budget, density_gap
 from .cycmod import check_module_dim
-from .errors import ResourceLimitError, SearchExhaustedError, UsageError
+from .errors import ResourceLimitError, SearchExhaustedError, UsageError, load_json
 from .fpx import TruncSeries, parse_series, render_series, validate_prime
-from .groups import FiniteGroup, build_lamplighter, cyclic_group, elementary_abelian
-from .homology import check_h2_order, minres_h2, tower_report
+from .groups import FiniteGroup
+from .homology import NAMED_GROUPS, minres_h2, named_group, tower_report
 from .padic import PadicInt
 from .reporting import (
     DEFAULT_SEED,
@@ -36,7 +36,6 @@ from .reporting import (
     section_antipode_bijection,
     section_antipode_series,
     section_frobenius,
-    tower_row,
 )
 from .taumap import min_digit_precision, tau
 
@@ -256,34 +255,17 @@ def _cmd_density_gap(args):
     return doc, "\n".join(lines) + "\n", "pass"
 
 
-# a named group of level i has order p^(k i), k by kind
-_ORDER_EXPONENT = {"dl": 3, "lamp": 2, "elab": 1, "cyclic": 1}
-
-
-def _build_named_group(kind: str, p: int, i: int) -> FiniteGroup:
-    """The named group, refused before its table is built if H_2 would be."""
-    if i > 0:  # other levels are the builder's usage errors
-        check_h2_order(p, _ORDER_EXPONENT[kind] * i)
-    if kind in ("dl", "lamp"):
-        return build_lamplighter(p, i, copies=2 if kind == "dl" else 1)
-    if kind == "elab":
-        return elementary_abelian(p, i)
-    return cyclic_group(p, i)
-
-
 def _cmd_h2(args):
     if args.group_file:
         try:
-            with open(args.group_file) as fh:
-                data = json.load(fh)
+            with open(args.group_file, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read {args.group_file}: {exc.strerror}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{args.group_file} is not JSON: {exc}") from None
-        group = FiniteGroup.from_json_dict(data)
+        group = FiniteGroup.from_json_dict(load_json(raw, f"{args.group_file} is not JSON"))
         label = args.group_file
     else:
-        group = _build_named_group(args.group, args.p, args.i)
+        group = named_group(args.group, args.p, args.i)
         label = f"{args.group}(p={args.p}, i={args.i})"
     dim = minres_h2(group)
     doc = _wrap(
@@ -300,7 +282,6 @@ def _cmd_h2(args):
 
 def _cmd_tower(args):
     report = tower_report(args.p, args.imax)
-    rows = [{**tower_row(row), "elab_h2": row.elab_h2} for row in report.rows]
     doc = _wrap(
         "tower",
         {
@@ -308,14 +289,14 @@ def _cmd_tower(args):
             "imax": args.imax,
             "complete": report.complete,
             "stopped_reason": report.stopped_reason,
-            "rows": rows,
+            "rows": report.rows,
         },
     )
     lines = [f"double lamplighter tower p={args.p} up to level {args.imax}"]
     lines.append(
         f"{'i':>3} {'order':>6} {'h2':>4} {'coinv':>6} {'tensor':>7} {'bound':>6} ok"
     )
-    for row in rows:
+    for row in report.rows:
         lines.append(
             f"{row['i']:>3} {row['order']:>6} {row['h2_dim']:>4} {row['coinv_dim']:>6} "
             f"{row['tensor_gr_dim']:>7} {row['lower_bound']:>6} "
@@ -401,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_density_gap)
 
     sp = sub.add_parser("h2", help="H2 of a named or JSON group (minimal resolution)")
-    sp.add_argument("--group", choices=tuple(_ORDER_EXPONENT), default="dl")
+    sp.add_argument("--group", choices=tuple(NAMED_GROUPS), default="dl")
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--i", type=int, default=1)
     sp.add_argument("--group-file", metavar="PATH", help="JSON multiplication table")

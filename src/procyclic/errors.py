@@ -13,9 +13,12 @@ precisions, levels) pass through one gate, ``exact_ints`` and its scalar form ``
 ints and numpy integers of any dtype pass, while floats (2.0 included),
 bools, strings and None are refused rather than truncated or coerced.
 Residues mod p are reduced whatever their size; indices and digits must
-already lie in range.
+already lie in range.  Outside JSON (a group file, a series argument) is
+decoded by ``load_json``, so malformed, non-UTF-8 or too deeply nested
+text is a UsageError too.
 """
 
+import json
 import os
 
 import numpy as np
@@ -64,6 +67,15 @@ def env_budget(name: str, default: int, limit: int | None = None) -> int:
     if limit is not None and budget > limit:
         raise UsageError(f"{name} must be at most {limit}, got {budget}")
     return budget
+
+
+def load_json(text, what: str):
+    """The decoded JSON text (str or bytes); UsageError "what: reason" when it
+    does not decode, including nesting past the decoder's recursion limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"{what}: {exc}") from None
 
 
 def exact_int(value, what: str) -> int:

@@ -57,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotAUnitError, UsageError, exact_int, exact_ints
+from .errors import NotAUnitError, UsageError, exact_int, exact_ints, load_json
 
 __all__ = [
     "TruncSeries",
@@ -264,9 +264,7 @@ class TruncSeries:
             return TruncSeries._reduced(p, _convolve_mod(self.coeffs, other.coeffs, p, n))
         na = int(np.count_nonzero(self.coeffs))
         nb = int(np.count_nonzero(other.coeffs))
-        if na == 0 or nb == 0:
-            prod = np.zeros(n, dtype=np.int64)
-        elif nb <= _SMALL_SUPPORT:
+        if nb <= _SMALL_SUPPORT:
             prod = _mul_small_support(self.coeffs, other.coeffs, p)
         elif na <= _SMALL_SUPPORT:
             prod = _mul_small_support(other.coeffs, self.coeffs, p)
@@ -555,11 +553,7 @@ def parse_series(text: str, p: int, prec: int) -> TruncSeries:
     """Parse either the rendered text form or a JSON coefficient array."""
     text = text.strip()
     if text.startswith("["):
-        try:
-            coeffs = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"series is not a JSON array: {exc}") from None
-        return TruncSeries(p, coeffs, prec)
+        return TruncSeries(p, load_json(text, "series is not a JSON array"), prec)
     coeffs = np.zeros(prec, dtype=np.int64)
     # normalize "a - b" to "a + -b" before splitting on +
     normalized = text.replace("-", "+-")

@@ -32,8 +32,6 @@ power the mod-p Hopf quotient.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError, env_budget, exact_int, exact_ints
@@ -277,9 +275,6 @@ class FiniteGroup:
             "generator_names": list(self.generator_names),
             "table": [int(v) for v in self.table.reshape(-1)],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteGroup":

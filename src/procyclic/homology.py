@@ -50,6 +50,12 @@ H_2(G) -> H_2(G/H), obtained from bar cycles pushed through the quotient
 chain map, and the subgroup-theoretic quotient (H cap [G,G]G^p)/([H,G]H^p)
 computed purely from multiplication tables.  Exactness of the low-degree
 homology sequence says the dimensions must agree.
+
+Both the five-term check and the double lamplighter tower hand back their
+results as report rows: dicts keyed by the names the report and the CLI
+print, so a new tower column is one more key in tower_report.  The tower
+and the CLI's h2 build their groups through named_group, which refuses an
+order past the budget before the table is built.
 """
 
 from __future__ import annotations
@@ -61,19 +67,20 @@ import numpy as np
 from .cycmod import diagonal_coinvariants, regular_module, tensor_over_groupring
 from .errors import ResourceLimitError, UsageError, env_budget, exact_int
 from .fpx import validate_prime
-from .groups import FiniteGroup, GroupHom, build_lamplighter, check_order, greedy_walk, hopf_quotient
+from .groups import (
+    FiniteGroup, GroupHom, build_lamplighter, check_order, cyclic_group, elementary_abelian,
+    greedy_walk, hopf_quotient,
+)
 from .linfp import FpMatrix, SparseRankAccumulator, kernel_basis, rank
 
 __all__ = [
     "minres_h2",
     "bar_h2",
     "five_term_check",
-    "FiveTermReport",
     "tower_report",
-    "TowerRow",
     "TowerReport",
     "max_bar_order",
-    "check_h2_order",
+    "named_group",
 ]
 
 DEFAULT_MAX_BAR = 64
@@ -93,9 +100,20 @@ def _check_bar_budget(order: int) -> None:
         )
 
 
-def check_h2_order(p: int, e: int) -> None:
-    """Refuse H_2 of order p^e before the table is built, table budget first."""
-    _check_bar_budget(check_order(validate_prime(p), e))
+# a named group of level i has order p^(k i), k by kind
+NAMED_GROUPS = {"dl": 3, "lamp": 2, "elab": 1, "cyclic": 1}
+
+
+def named_group(kind: str, p: int, i: int) -> FiniteGroup:
+    """The named group of level i, refused before its table is built if its
+    H_2 would be (table budget first)."""
+    if i > 0:  # other levels are the builder's usage errors
+        _check_bar_budget(check_order(validate_prime(p), NAMED_GROUPS[kind] * i))
+    if kind in ("dl", "lamp"):
+        return build_lamplighter(p, i, copies=2 if kind == "dl" else 1)
+    if kind == "elab":
+        return elementary_abelian(p, i)
+    return cyclic_group(p, i)
 
 
 def _positions(group: FiniteGroup) -> np.ndarray:
@@ -221,13 +239,6 @@ def minres_h2(group: FiniteGroup) -> int:
     return dim_k - acc.rank
 
 
-@dataclass(frozen=True)
-class FiveTermReport:
-    cokernel_dim: int
-    hopf_dim: int
-    equal: bool
-
-
 def _chain_map_c2(hom: GroupHom) -> np.ndarray:
     """Index map for f# on C_2: basis t -> target index, or -1 if degenerate."""
     # position of f(g) among the non-identity targets, -1 where f(g) = e
@@ -236,14 +247,15 @@ def _chain_map_c2(hom: GroupHom) -> np.ndarray:
     return np.where((img[:, None] >= 0) & (img >= 0), pairs, -1).reshape(-1)
 
 
-def five_term_check(group: FiniteGroup, h_elements) -> FiveTermReport:
+def five_term_check(group: FiniteGroup, h_elements) -> dict:
     """Compare coker(H_2(G) -> H_2(G/H)) with the mod-p Hopf quotient.
 
     The cokernel comes from the bar pipeline: push a basis of 2-cycles of
     G through the quotient chain map, adjoin the 2-boundaries of G/H, and
     subtract the resulting rank from dim Z_2(G/H); only the images of the
     cycles, one per free column of the reduced d2, are formed.  The Hopf
-    side uses only subgroup closures.  Low-degree exactness demands equality.
+    side uses only subgroup closures.  Low-degree exactness demands
+    equality.  Returns the report row {"cokernel_dim", "hopf_dim", "equal"}.
     """
     _check_bar_budget(group.order)
     quotient, hom = group.quotient(h_elements)
@@ -266,28 +278,18 @@ def five_term_check(group: FiniteGroup, h_elements) -> FiveTermReport:
 
     acc = SparseRankAccumulator(images.shape[1], p)
     acc.add_rows(images)
-    cokernel_dim = _cycles_mod_boundaries(quotient, acc)
-    hopf_dim = hopf_quotient(group, h_elements)
-    return FiveTermReport(cokernel_dim, hopf_dim, equal=cokernel_dim == hopf_dim)
-
-
-@dataclass(frozen=True)
-class TowerRow:
-    level: int
-    order: int
-    h2_dim: int
-    coinvariant_dim: int
-    tensor_gr_dim: int
-    elab_h2: int
-    h2_lower_bound: int
-    collapse_ok: bool
-    inequality_ok: bool
+    cokernel, hopf = _cycles_mod_boundaries(quotient, acc), hopf_quotient(group, h_elements)
+    return {"cokernel_dim": cokernel, "hopf_dim": hopf, "equal": cokernel == hopf}
 
 
 @dataclass(frozen=True)
 class TowerReport:
+    """The tower's levels as report rows, one dict per level keyed by the
+    printed names in report column order (i, order, h2_dim, coinv_dim,
+    tensor_gr_dim, lower_bound, collapse_ok, inequality_ok), then elab_h2."""
+
     p: int
-    rows: tuple[TowerRow, ...]
+    rows: tuple[dict, ...]
     complete: bool
     stopped_reason: str | None = None
 
@@ -295,7 +297,7 @@ class TowerReport:
     def status(self) -> str:
         """fail if a row fails a check, else stopped if a budget cut the tower
         short, else pass."""
-        if not all(row.collapse_ok and row.inequality_ok for row in self.rows):
+        if not all(row["collapse_ok"] and row["inequality_ok"] for row in self.rows):
             return "fail"
         return "pass" if self.complete else "stopped"
 
@@ -319,8 +321,7 @@ def tower_report(p: int, i_max: int) -> TowerReport:
     rows = []
     for i in range(1, i_max + 1):
         try:
-            check_h2_order(p, 3 * i)
-            group = build_lamplighter(p, i, copies=2)
+            group = named_group("dl", p, i)
             h2 = minres_h2(group)
         except ResourceLimitError as exc:
             return TowerReport(p=p, rows=tuple(rows), complete=False, stopped_reason=str(exc))
@@ -329,17 +330,10 @@ def tower_report(p: int, i_max: int) -> TowerReport:
         coinv = diagonal_coinvariants(reg, reg)
         tensor = tensor_over_groupring(reg, reg)
         bound = coinv + 2 * elab
-        rows.append(
-            TowerRow(
-                level=i,
-                order=group.order,
-                h2_dim=h2,
-                coinvariant_dim=coinv,
-                tensor_gr_dim=tensor,
-                elab_h2=elab,
-                h2_lower_bound=bound,
-                collapse_ok=(coinv == i and tensor == i),
-                inequality_ok=(h2 >= bound),
-            )
-        )
+        rows.append({
+            "i": i, "order": group.order, "h2_dim": h2, "coinv_dim": coinv,
+            "tensor_gr_dim": tensor, "lower_bound": bound,
+            "collapse_ok": coinv == i and tensor == i, "inequality_ok": h2 >= bound,
+            "elab_h2": elab,
+        })
     return TowerReport(p=p, rows=tuple(rows), complete=True)

@@ -97,9 +97,6 @@ class FpMatrix:
     def cols(self) -> int:
         return self.array.shape[1]
 
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.array.T)
-
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         if not isinstance(other, FpMatrix):
             raise UsageError("matrix product needs an FpMatrix")
@@ -302,7 +299,8 @@ class SparseRankAccumulator:
 
     Every route refuses, with UsageError, a row that reaches past column
     ncols - 1: a wider array, a longer bit-packed int or a pair's column
-    outside [0, ncols).
+    outside [0, ncols).  A bit-packed row, and each column and value of a
+    pair, must pass exact_int: bools and floats are refused.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -318,26 +316,24 @@ class SparseRankAccumulator:
 
     def add_pairs(self, pairs) -> bool:
         """Add a row given as (column, value) pairs; True if rank grew."""
-        ncols = self.ncols
-        if self.p == 2:
-            row = 0
-            for c, v in pairs:
-                if not 0 <= c < ncols:
-                    raise UsageError(f"column {c} is not in [0, {ncols})")
-                if v % 2:
-                    row ^= 1 << c
-            return self._add_bits(row)
-        row = np.zeros(ncols, dtype=np.int64)
+        p, ncols = self.p, self.ncols
+        row = 0 if p == 2 else np.zeros(ncols, dtype=np.int64)
         for c, v in pairs:
+            c, v = exact_int(c, "column"), exact_int(v, "entry") % p
             if not 0 <= c < ncols:
                 raise UsageError(f"column {c} is not in [0, {ncols})")
-            row[c] = (row[c] + v) % self.p
-        return self._add_dense(row)
+            if p == 2:
+                row ^= v << c
+            else:
+                row[c] = (row[c] + v) % p
+        return self._add_bits(row) if p == 2 else self._add_dense(row)
 
     def add_bits(self, row: int) -> bool:
         """Add a bit-packed row (p = 2 only); True if the rank grew."""
         if self.p != 2:
             raise UsageError("bit-packed rows only make sense over F_2")
+        if type(row) is not int:  # add_rows' packed rows skip the gate
+            row = exact_int(row, "bit-packed row")
         if row < 0 or row.bit_length() > self.ncols:
             raise UsageError(f"bit-packed row does not fit in {self.ncols} columns")
         return self._add_bits(row)

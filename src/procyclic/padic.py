@@ -79,14 +79,6 @@ class PadicInt:
             n, digits[i] = divmod(n, p)
         return cls(p, digits, prec)
 
-    @classmethod
-    def zero(cls, p: int, prec: int) -> "PadicInt":
-        return cls(p, (), prec)
-
-    @classmethod
-    def one(cls, p: int, prec: int) -> "PadicInt":
-        return cls(p, (1,), prec)
-
     def to_int(self) -> int:
         """Canonical representative in [0, p^prec)."""
         total = 0

@@ -283,7 +283,7 @@ def test_h2_refuses_before_building_the_table(capsys, monkeypatch, argv, builder
     def no_build(*args, **kwargs):
         raise AssertionError("a refused group was built")
 
-    monkeypatch.setattr(procyclic.cli, builder, no_build)
+    monkeypatch.setattr(procyclic.homology, builder, no_build)
     code, out, err = run_cli(capsys, *argv)
     order = {"elab": 2**12, "cyclic": 2**12, "dl": 2**12, "lamp": 2**8}[argv[2]]
     assert (code, out) == (3, "")
@@ -437,6 +437,17 @@ BAD_INPUTS = {
         ["census", "--p", "2", "--n", "1", "--k", "1", "--imax", "1", "--alpha", "y"],
     ),
     "density-gap-f-malformed-json": ({}, None, ["density-gap", "--p", "2", "--f", "[1,"]),
+    # nested past the JSON decoder's recursion limit
+    "density-gap-f-deep-json": (
+        {},
+        None,
+        ["density-gap", "--p", "2", "--f", "[" * 5000 + "]" * 5000],
+    ),
+    "density-gap-f-integer-of-5000-digits": (
+        {},
+        None,
+        ["density-gap", "--p", "2", "--f", "[" + "9" * 5000 + "]"],
+    ),
     "frobenius-prec-zero": ({}, None, ["verify-frobenius", "--p", "2", "--prec", "0"]),
     "antipode-trials-zero": ({}, None, ["antipode-check", "--p", "2", "--trials", "0"]),
     "antipode-trials-negative": ({}, None, ["antipode-check", "--p", "2", "--trials", "-3"]),
@@ -461,6 +472,43 @@ def test_bad_input_is_usage_error(case, capsys, monkeypatch, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+MALFORMED_GROUP_FILES = {
+    "not-json": b"not json",
+    "truncated": b'{"prime": 2, "order": 2, "table": [0, 1,',
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    "no-table": b'{"prime": 2, "order": 2}',
+    "float-table": b'{"prime": 2, "order": 2, "table": [0.0, 1.0, 1.0, 0.0]}',
+    # past the interpreter's 4,300-digit limit on int parsing
+    "integer-of-5000-digits": b'{"prime": 2, "order": ' + b"9" * 5000 + b', "table": [0]}',
+    "not-utf-8": b'{"prime": 2, "order": 2, "table": [0, 1, 1, 0], "name": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GROUP_FILES))
+def test_malformed_group_file_is_usage_error(name, capsys, tmp_path):
+    # main raising instead of returning 2 would be a traceback
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(MALFORMED_GROUP_FILES[name])
+    code, out, err = run_cli(capsys, "h2", "--group-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tower_rows_are_one_vocabulary(capsys):
+    # the CLI emits tower_report's rows as they are, and the report's tower
+    # section is the same rows without the CLI-only elab_h2 column
+    rows = list(procyclic.tower_report(2, 2).rows)
+    code, out, _ = run_cli(capsys, "tower", "--p", "2", "--imax", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["rows"] == rows
+    code, out, _ = run_cli(capsys, "report", "--section", "tower", "--json")
+    assert code == 0
+    section_rows = json.loads(out)["sections"][0]["rows"]
+    assert section_rows[: len(rows)] == [
+        {k: v for k, v in row.items() if k != "elab_h2"} for row in rows
+    ]
 
 
 # (argv, budget constant lowered for the test, largest accepted value of the

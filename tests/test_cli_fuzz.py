@@ -30,7 +30,8 @@ PREC = _small_or_above(-1, 40, MAX_PREC)
 TRIALS = _small_or_above(-1, 3, MAX_SIGMA_WORK)
 MALFORMED = st.sampled_from(
     ["", ",", "1,", ",1", "1,,2", "x", "1,x", "1.5", "-", "1e3", "[1,", "[1, 2]",
-     "[1, x]", "{}", "1 + x", "x^2 + 1", "0,1,2,3", "-1", "2,-1", "5,5,5,5"]
+     "[1, x]", "{}", "1 + x", "x^2 + 1", "0,1,2,3", "-1", "2,-1", "5,5,5,5",
+     "[" * 5000 + "]" * 5000]  # nested past the JSON decoder's recursion limit
 )
 COEFFS = st.one_of(MALFORMED, st.lists(st.integers(-3, 6), max_size=3).map(
     lambda xs: ",".join(map(str, xs))

@@ -229,7 +229,7 @@ def test_batched_antipode_images_match_the_kronecker_route(p, i):
     antipode = regular_antipode(p, i)
     relations = _coinvariant_relations(m, m)
     phi = FpMatrix(p, np.kron(np.eye(i, dtype=np.int64), antipode.matrix.array))
-    expected = (FpMatrix(p, relations) @ phi.transpose()).array
+    expected = (FpMatrix(p, relations) @ FpMatrix(p, phi.array.T)).array
     assert np.array_equal(_id_tensor_images(relations, antipode), expected)
 
 

@@ -19,6 +19,7 @@ from procyclic import (
     GroupHom,
     LaurentTrunc,
     PadicInt,
+    SparseRankAccumulator,
     TensorRep,
     TruncSeries,
     build_lamplighter,
@@ -220,3 +221,47 @@ def test_float_prime_is_refused_after_an_equal_integer_is_cached():
 def test_big_scalar_coefficient_is_reduced():
     assert TruncSeries.monomial(5, 4, 1, 10**30 + 2) == TruncSeries(5, [0, 2], 4)
     assert PadicInt.from_int(-(3**40) - 1, 3, 2) == PadicInt.from_int(-1, 3, 2)
+
+
+@pytest.mark.parametrize("row", [True, False, 5.0, np.float64(5), np.bool_(True), "5", None])
+def test_bit_packed_row_must_be_an_integer(row):
+    acc = SparseRankAccumulator(4, 2)
+    with pytest.raises(UsageError, match="bit-packed row must be an integer"):
+        acc.add_bits(row)
+    assert acc.rank == 0
+
+
+def test_bit_packed_row_takes_numpy_integers():
+    acc = SparseRankAccumulator(4, 2)
+    assert acc.add_bits(np.int64(5)) and acc.add_bits(np.uint8(2))
+    assert not acc.add_bits(np.int32(7))
+    assert acc.rank == 2
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521))
+@pytest.mark.parametrize(
+    "pair, what",
+    [
+        ((True, 1), "column"),
+        ((1.0, 1), "column"),
+        ((np.float64(1), 1), "column"),
+        (("1", 1), "column"),
+        ((1, 1.5), "entry"),
+        ((np.int64(1), 1.5), "entry"),
+        ((1, 1.0), "entry"),
+        ((1, True), "entry"),
+        ((1, None), "entry"),
+    ],
+)
+def test_pair_column_and_value_must_be_integers(p, pair, what):
+    acc = SparseRankAccumulator(4, p)
+    with pytest.raises(UsageError, match=f"{what} must be an integer"):
+        acc.add_pairs([(0, 1), pair])
+    assert acc.rank == 0
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521))
+def test_pairs_take_numpy_integers_and_reduce_big_values(p):
+    acc = SparseRankAccumulator(4, p)
+    assert acc.add_pairs([(np.int64(1), np.int32(1)), (np.uint8(3), 10**30 * p + 1)])
+    assert acc.reduced()[1].tolist() == [[0, 1, 0, 1]]

@@ -367,7 +367,7 @@ def test_lamplighter_table_matches_per_column_oracle(p, i, copies):
 
 def test_json_roundtrip():
     g = build_lamplighter(2, 2, 1)
-    data = json.loads(g.to_json())
+    data = json.loads(json.dumps(g.to_json_dict()))
     h = FiniteGroup.from_json_dict(data)
     assert h.order == g.order
     assert np.array_equal(h.table, g.table)

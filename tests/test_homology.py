@@ -316,7 +316,7 @@ def test_five_term_equality_on_all_pairs():
     for group, subgroup in five_term_cases():
         report = five_term_check(group, subgroup)
         results.append(report)
-        assert report.equal, (group, report)
+        assert report["equal"], (group, report)
     assert len(results) == 8
 
 
@@ -332,7 +332,7 @@ def test_five_term_at_order_64_forms_no_cycle_basis(p, i, copies):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.cokernel_dim == report.hopf_dim == 1 and report.equal
+    assert report == {"cokernel_dim": 1, "hopf_dim": 1, "equal": True}
     assert peak < 64 * 2**20, peak
 
 
@@ -353,20 +353,20 @@ def test_null_spaces_take_no_dense_rref(monkeypatch, capsys):
     assert main(["h2", "--group", "elab", "--p", "2", "--i", "5", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["h2_dim"] == 15
     for group, subgroup in five_term_cases():
-        assert five_term_check(group, subgroup).equal
+        assert five_term_check(group, subgroup)["equal"]
 
 
 def test_five_term_full_subgroup():
     g = elementary_abelian(2, 2)
     report = five_term_check(g, range(g.order))
-    assert report.cokernel_dim == 0 and report.hopf_dim == 0 and report.equal
+    assert report == {"cokernel_dim": 0, "hopf_dim": 0, "equal": True}
 
 
 def test_five_term_trivial_subgroup():
     g = build_lamplighter(2, 2, 1)
     report = five_term_check(g, [g.identity])
     # quotient is G itself: the map on H2 is the identity, cokernel 0
-    assert report.cokernel_dim == 0 and report.hopf_dim == 0 and report.equal
+    assert report == {"cokernel_dim": 0, "hopf_dim": 0, "equal": True}
 
 
 # -- tower ------------------------------------------------------------------------
@@ -376,12 +376,12 @@ def test_tower_level_one():
     rep = tower_report(2, 1)
     assert rep.complete
     row = rep.rows[0]
-    assert row.order == 8
-    assert row.h2_dim == 6
-    assert row.coinvariant_dim == 1
-    assert row.tensor_gr_dim == 1
-    assert row.h2_lower_bound == 3
-    assert row.collapse_ok and row.inequality_ok
+    assert row["order"] == 8
+    assert row["h2_dim"] == 6
+    assert row["coinv_dim"] == 1
+    assert row["tensor_gr_dim"] == 1
+    assert row["lower_bound"] == 3
+    assert row["collapse_ok"] and row["inequality_ok"]
 
 
 def test_tower_partial_on_budget(monkeypatch):
@@ -396,24 +396,24 @@ def test_tower_level_two_full():
     rep = tower_report(2, 2)
     assert rep.complete
     row = rep.rows[1]
-    assert row.order == 64
-    assert row.coinvariant_dim == 2 and row.tensor_gr_dim == 2
-    assert row.h2_dim == 9 and row.h2_lower_bound == 8
-    assert row.collapse_ok and row.inequality_ok
+    assert row["order"] == 64
+    assert row["coinv_dim"] == 2 and row["tensor_gr_dim"] == 2
+    assert row["h2_dim"] == 9 and row["lower_bound"] == 8
+    assert row["collapse_ok"] and row["inequality_ok"]
 
 
 @pytest.mark.parametrize("p, i", [(2, 1), (2, 2), (3, 1)])
 def test_tower_elab_h2_is_the_kunneth_count(p, i):
     row = tower_report(p, i).rows[i - 1]
-    assert row.elab_h2 == minres_h2(elementary_abelian(p, i)) == i * (i + 1) // 2
+    assert row["elab_h2"] == minres_h2(elementary_abelian(p, i)) == i * (i + 1) // 2
 
 
 def test_tower_p3_level_one():
     rep = tower_report(3, 1)
     assert rep.complete
     row = rep.rows[0]
-    assert row.order == 27
-    assert row.h2_dim == 6
-    assert row.coinvariant_dim == 1 and row.tensor_gr_dim == 1
-    assert row.elab_h2 == 1 and row.h2_lower_bound == 3
-    assert row.collapse_ok and row.inequality_ok
+    assert row["order"] == 27
+    assert row["h2_dim"] == 6
+    assert row["coinv_dim"] == 1 and row["tensor_gr_dim"] == 1
+    assert row["elab_h2"] == 1 and row["lower_bound"] == 3
+    assert row["collapse_ok"] and row["inequality_ok"]

@@ -269,7 +269,7 @@ def test_act_identity_and_generator():
         prec = 24
         k = digits_for(p, prec)
         f = TruncSeries.geometric(p, prec)
-        assert tau(PadicInt.zero(p, k), prec) * f == f
+        assert tau(PadicInt.from_int(0, p, k), prec) * f == f
         assert tau(PadicInt.from_int(1, p, k), prec) * TruncSeries.one(p, prec) == (
             TruncSeries.one_minus_x(p, prec)
         )
