@@ -502,8 +502,9 @@ class LaurentTrunc:
     def __mul__(self, other: "LaurentTrunc") -> "LaurentTrunc":
         if not isinstance(other, LaurentTrunc):
             raise UsageError(f"expected LaurentTrunc, got {type(other).__name__}")
+        self.body._check_compatible(other.body)
         if self.is_zero() or other.is_zero():
-            return LaurentTrunc.zero(self.p, min(self.prec, other.prec))
+            return LaurentTrunc.zero(self.p, self.prec)
         return LaurentTrunc(self.val + other.val, self.body * other.body)
 
     def invert(self) -> "LaurentTrunc":

@@ -288,10 +288,13 @@ class TowerReport:
     printed names in report column order (i, order, h2_dim, coinv_dim,
     tensor_gr_dim, lower_bound, collapse_ok, inequality_ok), then elab_h2."""
 
-    p: int
     rows: tuple[dict, ...]
-    complete: bool
     stopped_reason: str | None = None
+
+    @property
+    def complete(self) -> bool:
+        """True unless a budget stopped the tower."""
+        return self.stopped_reason is None
 
     @property
     def status(self) -> str:
@@ -324,7 +327,7 @@ def tower_report(p: int, i_max: int) -> TowerReport:
             group = named_group("dl", p, i)
             h2 = minres_h2(group)
         except ResourceLimitError as exc:
-            return TowerReport(p=p, rows=tuple(rows), complete=False, stopped_reason=str(exc))
+            return TowerReport(tuple(rows), str(exc))
         elab = i * (i + 1) // 2
         reg = regular_module(p, i)
         coinv = diagonal_coinvariants(reg, reg)
@@ -336,4 +339,4 @@ def tower_report(p: int, i_max: int) -> TowerReport:
             "collapse_ok": coinv == i and tensor == i, "inequality_ok": h2 >= bound,
             "elab_h2": elab,
         })
-    return TowerReport(p=p, rows=tuple(rows), complete=True)
+    return TowerReport(tuple(rows))

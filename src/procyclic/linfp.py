@@ -9,8 +9,7 @@ and a span inclusion is an equality of two ranks.
 Every rank is taken by one engine, SparseRankAccumulator, and only its
 pivot rows are kept.  Arrays and every odd-p row the package forms
 enter it in blocks through add_rows, single F_2 rows through add_bits;
-add_pairs, one row of (column, value) pairs, is the route of the tests
-and the benchmark, and the only caller of the single-row path.
+add_pairs, one row of (column, value) pairs, is a one-row add_rows.
 Over F_2 a row is a bit-packed Python integer and each reduction is one
 word-parallel xor.  For odd p the pivot rows are kept inter-reduced in
 float64, and add_rows feeds the nonzero rows in blocks of BLOCK_ROWS
@@ -184,8 +183,9 @@ def _panel_rref(block: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     subtracts at most (p-1)^2, so every entry stays below
     p + BLOCK_ROWS * (p-1)^2 in magnitude (under 2^37 at p = 65521), and
     PANEL_BOUND keeps that exact in int64.  The pivot rows are reduced once
-    at the end.  An RREF with a given pivot set is unique, so the rows
-    equal those the single-row path finds from the same rows.
+    at the end.  The RREF of a span is unique, and a row meets a pivot
+    exactly when it leaves the span of the rows before it, so any split of
+    the same rows into blocks gives the same RREF, row for row.
     """
     pivrows: list[int] = []
     pivcols: list[int] = []
@@ -277,9 +277,9 @@ class SparseRankAccumulator:
     Over F_2 a row is a bit-packed Python integer and a reduction is one
     xor.  For odd p the pivot rows are kept fully inter-reduced in float64
     (zero at every other row's pivot column, one at their own), so that
-    reductions run as BLAS products of integers.  A single row (add_pairs)
-    is finished by one gather-and-subtract pass.  An array (add_rows) goes
-    in blocks of BLOCK_ROWS rows, and a block takes three steps:
+    reductions run as BLAS products of integers.  Rows go in blocks of
+    BLOCK_ROWS rows (a row of add_pairs is a block of one), and a block
+    takes three steps:
 
     1. one GEMM, block[:, pivcols] @ basis, reduces the whole block against
        the basis;
@@ -293,14 +293,15 @@ class SparseRankAccumulator:
     A product sums one term below (p-1)^2 per pivot, so it is exact while
     the rank is at most float_terms(p); growing the rank past that bound
     raises ResourceLimitError before any pivot is added (at p = 65521 the
-    largest rank is 2,098,176).  The block path reduces its sums mod p by
+    largest rank is 2,098,176).  The products' sums are reduced mod p by
     the exact float step of _mod_exact.  The float64 basis starts at
     min(16, ncols) rows and doubles as the rank grows.
 
     Every route refuses, with UsageError, a row that reaches past column
     ncols - 1: a wider array, a longer bit-packed int or a pair's column
-    outside [0, ncols).  A bit-packed row, and each column and value of a
-    pair, must pass exact_int: bools and floats are refused.
+    outside [0, ncols).  A bit-packed row, each column and value of a pair
+    and each entry of an array must pass exact_int: bools and floats are
+    refused.  Array entries must lie in [0, p); pair values are reduced.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -315,18 +316,19 @@ class SparseRankAccumulator:
         self._basis: np.ndarray | None = None  # odd p: RREF rows, float64
 
     def add_pairs(self, pairs) -> bool:
-        """Add a row given as (column, value) pairs; True if rank grew."""
+        """Add a row given as (column, value) pairs; True if rank grew.
+
+        Values are reduced mod p and summed per column, and the row goes to
+        add_rows as a one-row array.
+        """
         p, ncols = self.p, self.ncols
-        row = 0 if p == 2 else np.zeros(ncols, dtype=np.int64)
+        row = np.zeros((1, ncols), dtype=np.int64)
         for c, v in pairs:
             c, v = exact_int(c, "column"), exact_int(v, "entry") % p
             if not 0 <= c < ncols:
                 raise UsageError(f"column {c} is not in [0, {ncols})")
-            if p == 2:
-                row ^= v << c
-            else:
-                row[c] = (row[c] + v) % p
-        return self._add_bits(row) if p == 2 else self._add_dense(row)
+            row[0, c] = (row[0, c] + v) % p
+        return self.add_rows(row) > 0
 
     def add_bits(self, row: int) -> bool:
         """Add a bit-packed row (p = 2 only); True if the rank grew."""
@@ -336,7 +338,16 @@ class SparseRankAccumulator:
             row = exact_int(row, "bit-packed row")
         if row < 0 or row.bit_length() > self.ncols:
             raise UsageError(f"bit-packed row does not fit in {self.ncols} columns")
-        return self._add_bits(row)
+        pivots = self._pivots
+        while row:
+            lead = row.bit_length() - 1
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                self.rank += 1
+                return True
+            row ^= piv
+        return False
 
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
         """(pivcols, rows): the basis as int64 rows with rows[:, pivcols] = I.
@@ -364,14 +375,16 @@ class SparseRankAccumulator:
         return np.array(list(cleared), dtype=np.int64), rows.astype(np.int64)
 
     def add_rows(self, rows: np.ndarray) -> int:
-        """Add the rows of a 2-D int64 array with entries in [0, p).
+        """Add the rows of a 2-D integer array with entries in [0, p).
 
-        Zero rows are skipped.  Over F_2 each row goes bit-packed to
-        add_bits; for odd p the rows go to the block step BLOCK_ROWS at a
-        time.  Returns how many pivots the rows added.
+        Other entries raise UsageError.  Zero rows are skipped.  Over F_2
+        each row goes bit-packed to add_bits; for odd p the rows go to the
+        block step BLOCK_ROWS at a time.  Returns how many pivots the rows
+        added.
         """
-        if rows.ndim != 2 or rows.shape[1] != self.ncols:
-            raise UsageError(f"rows of shape {rows.shape} do not have {self.ncols} columns")
+        if np.ndim(rows) != 2 or np.shape(rows)[1] != self.ncols:
+            raise UsageError(f"rows of shape {np.shape(rows)} do not have {self.ncols} columns")
+        rows = exact_ints(rows, "row entry", ndim=2, hi=self.p)
         before = self.rank
         nonzero = np.flatnonzero(rows.any(axis=1))
         if self.p == 2:
@@ -414,18 +427,6 @@ class SparseRankAccumulator:
         self._pivcols += pivcols
         self.rank += k
 
-    def _add_bits(self, row: int) -> bool:
-        pivots = self._pivots
-        while row:
-            lead = row.bit_length() - 1
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = row
-                self.rank += 1
-                return True
-            row ^= piv
-        return False
-
     def _reserve(self, rows: int) -> None:
         """Make room for rows basis rows, doubling from min(16, ncols)."""
         have = 0 if self._basis is None else self._basis.shape[0]
@@ -434,32 +435,3 @@ class SparseRankAccumulator:
             if have:
                 grown[: self.rank] = self._basis[: self.rank]
             self._basis = grown
-
-    def _add_dense(self, row: np.ndarray) -> bool:
-        p = self.p
-        if self.rank:
-            coeffs = row[self._pivcols]
-            if coeffs.any():
-                combo = coeffs.astype(np.float64) @ self._basis[: self.rank]
-                row = (row - combo.astype(np.int64)) % p
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            return False
-        # basis rows are inter-reduced, so the leading column is new
-        lead = int(nz[0])
-        if row[lead] != 1:
-            row = (row * pow(int(row[lead]), -1, p)) % p
-        _check_float_rank(self.rank + 1, p)
-        self._reserve(self.rank + 1)
-        basis = self._basis
-        col = basis[: self.rank, lead].astype(np.int64)
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            updated = (
-                basis[hit].astype(np.int64) - np.outer(col[hit], row)
-            ) % p
-            basis[hit] = updated
-        basis[self.rank] = row
-        self._pivcols.append(lead)
-        self.rank += 1
-        return True

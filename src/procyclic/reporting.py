@@ -490,10 +490,11 @@ def run_report(
     sections=None, seed: int = DEFAULT_SEED, with_timings: bool = False
 ) -> ReportDocument:
     """Run the named sections (all of them by default) in canonical order."""
-    chosen = list(sections) if sections else list(SECTION_ORDER)
-    unknown = [s for s in chosen if s not in SECTIONS]
+    requested = list(sections) if sections else SECTION_ORDER
+    unknown = [s for s in requested if s not in SECTIONS]
     if unknown:
         raise UsageError(f"unknown report sections: {', '.join(unknown)}")
+    chosen = [name for name in SECTION_ORDER if name in requested]
     config = {
         "seed": seed,
         "max_group": max_group_order(),
@@ -501,9 +502,8 @@ def run_report(
         "sections": ",".join(chosen),
     }
     doc = ReportDocument(config=config)
-    for name, runner in SECTIONS.items():
-        if name not in chosen:
-            continue
+    for name in chosen:
+        runner = SECTIONS[name]
         start = time.perf_counter()
         if name in ("tau-soundness", "mu-kappa"):
             section = runner(seed=seed)

@@ -604,6 +604,21 @@ def test_report_sections_deterministic(capsys):
     assert all(s["status"] == "pass" for s in doc["sections"])
 
 
+def test_report_config_names_the_sections_that_ran(capsys):
+    # another order, or a repeat, of the same sections gives the same bytes
+    runs = [
+        ["--section", "mu-kappa", "--section", "density-gap"],
+        ["--section", "density-gap", "--section", "mu-kappa", "--section", "density-gap"],
+    ]
+    outs = []
+    for sections in runs:
+        code, out, _ = run_cli(capsys, "report", *sections, "--json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["config"]["sections"] == "density-gap,mu-kappa"
+
+
 def test_report_out_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -265,3 +265,36 @@ def test_pairs_take_numpy_integers_and_reduce_big_values(p):
     acc = SparseRankAccumulator(4, p)
     assert acc.add_pairs([(np.int64(1), np.int32(1)), (np.uint8(3), 10**30 * p + 1)])
     assert acc.reduced()[1].tolist() == [[0, 1, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "p, row",
+    [
+        (2, [2, 0]),
+        (3, [2**60 + 7, 1, 0]),  # would round in the float64 block product
+        (3, [10**18 + 1, 1, 0]),
+        (3, [2**62 + 3, 1, 0]),
+        (3, [-1, 1, 0]),
+        (3, [1.5, 0, 0]),
+        (2, [0.5, 0]),
+    ],
+)
+def test_add_rows_refuses_entries_outside_the_field(p, row):
+    acc = SparseRankAccumulator(len(row), p)
+    assert acc.add_rows(np.array([[1] + [0] * (len(row) - 2) + [1]])) == 1
+    before = acc.reduced()
+    for rows in (np.array([row]), [row]):
+        with pytest.raises(UsageError, match="row entry"):
+            acc.add_rows(rows)
+    assert acc.rank == 1
+    assert all(np.array_equal(a, b) for a, b in zip(acc.reduced(), before))
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521))
+def test_add_rows_takes_nested_lists(p):
+    acc = SparseRankAccumulator(3, p)
+    assert acc.add_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]]) == (2 if p == 2 else 3)
+    with pytest.raises(UsageError, match=r"rows of shape \(1, 2\) do not have 3 columns"):
+        acc.add_rows([[1, 0]])
+    with pytest.raises(UsageError, match=r"rows of shape \(3,\) do not have 3 columns"):
+        acc.add_rows([1, 0, 1])

@@ -485,6 +485,29 @@ def test_laurent_zero_is_canonical():
         z1.invert()
 
 
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (LaurentTrunc(0, TruncSeries.one(2, 4)), LaurentTrunc(0, TruncSeries.one(3, 4)), "mixed primes"),
+        (LaurentTrunc(0, TruncSeries.one(5, 4)), LaurentTrunc(1, TruncSeries.one(5, 8)), "mixed precisions"),
+    ],
+)
+@pytest.mark.parametrize("zero", (None, "left", "right"))
+def test_laurent_product_refuses_mixed_operands_even_when_zero(a, b, message, zero):
+    if zero == "left":
+        a = LaurentTrunc.zero(a.p, a.prec)
+    elif zero == "right":
+        b = LaurentTrunc.zero(b.p, b.prec)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(UsageError, match=message):
+            x * y
+
+
+def test_laurent_product_with_zero_is_zero():
+    z, u = LaurentTrunc.zero(3, 6), LaurentTrunc(-2, TruncSeries(3, [1, 2], 6))
+    assert z * u == u * z == z * z == z
+
+
 def test_laurent_from_series_normalizes_valuation():
     f = TruncSeries(2, [0, 0, 1, 1], 4)
     l = LaurentTrunc.from_series(f, val=-1)

@@ -157,7 +157,8 @@ def test_rank_of_wide_sparse_matrix_allocates_by_rank():
 
 
 def row_path(arr, p, acc=None):
-    """The accumulator after the rows went in one at a time through add_pairs."""
+    """The accumulator after the rows went in one at a time through add_pairs:
+    at odd p, the block step fed one-row blocks."""
     acc = acc or SparseRankAccumulator(arr.shape[1], p)
     for row in arr:
         nz = np.nonzero(row)[0]
@@ -182,7 +183,7 @@ B = BLOCK_ROWS
 
 
 def check_same_basis(acc, other):
-    """Equal bases, row for row: the block path keeps the single-row order."""
+    """Equal bases, row for row: any split of the rows into blocks gives one RREF."""
     pivcols, rows = acc.reduced()
     other_pivcols, other_rows = other.reduced()
     assert pivcols.tolist() == other_pivcols.tolist()
@@ -317,18 +318,42 @@ def test_coinv_relation_matrices_match_rref():
     check_same_basis(acc, row_path(np.vstack([tensor, images]), 3))
 
 
-def test_add_rows_never_takes_the_single_row_path(monkeypatch):
-    def single_row(self, row):
-        raise AssertionError("add_rows reached _add_dense")
+def counted(monkeypatch, name):
+    """Patch SparseRankAccumulator.name to record the rows each call gets."""
+    seen = []
+    original = getattr(SparseRankAccumulator, name)
 
-    monkeypatch.setattr(SparseRankAccumulator, "_add_dense", single_row)
+    def record(self, rows):
+        seen.append(rows)
+        return original(self, rows)
+
+    monkeypatch.setattr(SparseRankAccumulator, name, record)
+    return seen
+
+
+@pytest.mark.parametrize("p", (3, 65521))
+def test_every_odd_p_row_reaches_the_block_step(monkeypatch, p):
+    blocks = counted(monkeypatch, "_add_block")
     rng = np.random.default_rng(90)
-    for p in (3, 65521):
-        arr = deficient_matrix(rng, p, 3 * B + 5, 40, 25)
-        assert rank(FpMatrix(p, arr)) == len(rref(FpMatrix(p, arr))[1])
-        kernel_basis(FpMatrix(p, arr))
-    with pytest.raises(AssertionError, match="_add_dense"):
-        SparseRankAccumulator(4, 3).add_pairs([(1, 2)])
+    arr = deficient_matrix(rng, p, 3 * B + 5, 40, 25)
+    nonzero = arr[arr.any(axis=1)]
+    acc = SparseRankAccumulator(40, p)
+    acc.add_rows(arr)
+    assert np.vstack(blocks).tobytes() == nonzero.tobytes()
+    assert [len(b) for b in blocks] == [B, B, B, len(nonzero) - 3 * B]
+    blocks.clear()
+    row_path(arr, p)
+    assert [len(b) for b in blocks] == [1] * len(nonzero)
+    assert np.vstack(blocks).tobytes() == nonzero.tobytes()
+
+
+def test_every_f2_pair_row_reaches_the_bit_step(monkeypatch):
+    bits = counted(monkeypatch, "add_bits")
+    rng = np.random.default_rng(91)
+    arr = deficient_matrix(rng, 2, 3 * B + 5, 40, 25)
+    nonzero = arr[arr.any(axis=1)]
+    row_path(arr, 2)
+    assert bits == [sum(1 << int(c) for c in np.flatnonzero(row)) for row in nonzero]
 
 
 def test_panel_bound_is_exact_in_int64():
