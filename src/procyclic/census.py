@@ -41,8 +41,9 @@ integer sum(c_j * p^j).  ``_pack_rows`` packs many rows at once.  A row
 of at most b digits, with b the largest width that keeps p^b below 2^62,
 is one matmul against the powers of p (cached per p).  At p = 2 a longer
 row is its bit pattern: np.packbits and int.from_bytes.  At odd p a
-longer row is cut into b-digit int64 limbs by one matmul, and the limbs
-are joined by Horner in Python integers.  The census rows are generated
+longer row is cut into b-digit int64 limbs by one matmul, and each row's
+limbs are joined by one Horner loop over Python integers, most
+significant limb first.  The census rows are generated
 and packed in blocks of _BLOCK_ROWS, so no prec x prec array is ever
 held; at level (2, 10) that array would be 8 MB, and 256-row blocks raise
 the peak RSS of the benchmark's census pass by about 3.4 MB against
@@ -72,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError, SearchExhaustedError, UsageError, exact_int, exact_ints
-from .fpx import LaurentTrunc, TruncSeries, validate_prime
+from .fpx import LaurentTrunc, TruncSeries, mod_p, validate_prime
 from .linfp import matmul_mod
 
 __all__ = [
@@ -169,14 +170,18 @@ def _pack_rows(rows: np.ndarray, p: int) -> list[int]:
         data = packed.tobytes()
         return [int.from_bytes(data[s : s + width], "little") for s in range(0, len(data), width)]
     full = length // b * b
-    limbs = list((rows[:, :full].reshape(count, full // b, b) @ powers).T.astype(object))
+    limbs = rows[:, :full].reshape(count, full // b, b) @ powers
     if full < length:
-        limbs.append((rows[:, full:] @ powers[: length - full]).astype(object))
+        top = rows[:, full:] @ powers[: length - full]
+        limbs = np.concatenate([limbs, top[:, None]], axis=1)
     radix = p**b
-    words = limbs.pop()
-    while limbs:
-        words = words * radix + limbs.pop()
-    return words.tolist()
+    words = []
+    for row in limbs[:, ::-1].tolist():
+        word = 0
+        for limb in row:
+            word = word * radix + limb
+        words.append(word)
+    return words
 
 
 def _power_blocks(p: int, prec: int):
@@ -193,7 +198,7 @@ def _power_blocks(p: int, prec: int):
             row[0] = prev[0]
             np.subtract(prev[1:], prev[:-1], out=row[1:])
             prev = row
-        np.mod(block, p, out=block)
+        mod_p(block, p, out=block)
         yield block
 
 
@@ -262,7 +267,8 @@ def _combinations(coeffs, rows: np.ndarray, p: int) -> np.ndarray:
     """sum_j coeffs[j] * rows[t_j] mod p for every n-tuple t, in product order."""
     out = np.zeros((1, rows.shape[1]), dtype=np.int64)
     for c in coeffs:
-        out = ((out[:, None, :] + c * rows[None, :, :]) % p).reshape(-1, rows.shape[1])
+        out = out[:, None, :] + c * rows[None, :, :]
+        out = mod_p(out, p, out=out).reshape(-1, rows.shape[1])
     return out
 
 
@@ -296,7 +302,9 @@ def _unit_inverses(units: np.ndarray, p: int) -> np.ndarray:
     minus_b0 = p - out[:, 0]
     for j in range(1, w):
         total = np.einsum("rl,rl->r", units[:, 1 : j + 1], out[:, j - 1 :: -1])
-        out[:, j] = total % p * minus_b0 % p
+        mod_p(total, p, out=total)
+        total *= minus_b0
+        out[:, j] = mod_p(total, p, out=total)
     return out
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError, exact_int
-from .fpx import validate_prime
+from .fpx import mod_p, validate_prime
 from .linfp import FpMatrix, SparseRankAccumulator, matmul_mod, rank
 from .taumap import min_digit_precision, times_sigma_x
 
@@ -178,14 +178,15 @@ def _quotient_dim(p: int, relations: np.ndarray) -> int:
 def _coinvariant_relations(m: FpCModule, m2: FpCModule) -> np.ndarray:
     """T m (x) T'm' - m (x) m' for the basis pairs, one relation per row."""
     k = np.kron(m.action.array, m2.action.array)
-    return ((k - np.eye(k.shape[0], dtype=np.int64)) % m.p).T
+    k[np.diag_indices_from(k)] -= 1
+    return mod_p(k, m.p, out=k).T
 
 
 def _tensor_relations(m: FpCModule, m2: FpCModule) -> np.ndarray:
     """T m (x) m' - m (x) T'm' for the basis pairs, one relation per row."""
     left = np.kron(m.action.array, np.eye(m2.dim, dtype=np.int64))
-    right = np.kron(np.eye(m.dim, dtype=np.int64), m2.action.array)
-    return ((left - right) % m.p).T
+    left -= np.kron(np.eye(m.dim, dtype=np.int64), m2.action.array)
+    return mod_p(left, m.p, out=left).T
 
 
 def diagonal_coinvariants(m: FpCModule, m2: FpCModule) -> int:

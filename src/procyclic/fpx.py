@@ -46,6 +46,14 @@ that product is taken at size m - h, about half the size of the first.
 Binary operations require equal primes and equal precisions; use
 ``truncate()`` to bring an operand down to a common precision when mixing
 precisions on purpose.
+
+Large int64 arrays are reduced mod p by ``mod_p``, which every module of
+the package uses: ``& 1`` at p = 2, and otherwise ``x - (x // p) * p``
+once an array holds MOD_CUTOFF entries, because numpy's ``//`` by a scalar
+divides through libdivide and ``%`` does not.  The result is exact for
+every entry x >= -2^63 + p; the package reduces only entries below 2^53
+in magnitude.  The oracles (``mul_schoolbook`` and the small-N product
+path it shares) and scalar residues keep ``%``.
 """
 
 from __future__ import annotations
@@ -81,9 +89,34 @@ INT64_CUTOFF = 64
 # slower at 1024 (140-210 us against 90-150 us).
 SCHOOLBOOK_CUTOFF = 768
 
+# Below this many entries mod_p takes np.remainder, above it floor division;
+# see mod_p for the crossover measured.
+MOD_CUTOFF = 1024
+
 # Above INT64_CUTOFF, operands with at most this many nonzero terms are
 # multiplied by shifted accumulation instead of either dense path.
 _SMALL_SUPPORT = 4
+
+
+def mod_p(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Reduce the int64 array x into [0, p), into out when given (out may be x).
+
+    At p = 2 this is x & 1, exact in two's complement with no temporary.
+    Below MOD_CUTOFF entries it is np.remainder.  Otherwise it is x - q * p
+    with q = x // p: numpy divides an int64 array by a scalar through
+    libdivide for //, but entry by entry for %.  q * p lies in (x - p, x],
+    so the result is exact for x >= -2^63 + p.  Measured on one x86-64
+    core (numpy 2.4.6, best of 7, µs, % against floor division, new
+    output): 16 entries 1.35 / 3.21, 256 2.33 / 3.56, 1,024 4.72 / 3.35,
+    4,096 17.5 / 10.9, 16,384 125 / 33.
+    """
+    if p == 2:
+        return np.bitwise_and(x, 1, out=out)
+    if x.size < MOD_CUTOFF:
+        return np.remainder(x, p, out=out)
+    q = np.floor_divide(x, p)
+    q *= p
+    return np.subtract(x, q, out=q if out is None else out)
 
 
 # typed, or validate_prime(2.0) would hit the entry of validate_prime(np.int64(2))
@@ -248,14 +281,17 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compatible(other)
-        return TruncSeries._reduced(self.p, (self.coeffs + other.coeffs) % self.p)
+        total = self.coeffs + other.coeffs
+        return TruncSeries._reduced(self.p, mod_p(total, self.p, out=total))
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compatible(other)
-        return TruncSeries._reduced(self.p, (self.coeffs - other.coeffs) % self.p)
+        diff = self.coeffs - other.coeffs
+        return TruncSeries._reduced(self.p, mod_p(diff, self.p, out=diff))
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries._reduced(self.p, (-self.coeffs) % self.p)
+        neg = np.negative(self.coeffs)
+        return TruncSeries._reduced(self.p, mod_p(neg, self.p, out=neg))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compatible(other)
@@ -362,7 +398,7 @@ def _mul_small_support(dense: np.ndarray, sparse: np.ndarray, p: int) -> np.ndar
     out = np.zeros(prec, dtype=np.int64)
     for k in np.nonzero(sparse)[0]:
         out[k:] += int(sparse[k]) * dense[: prec - k]
-    return out % p
+    return mod_p(out, p, out=out)
 
 
 def _support_end(a: np.ndarray) -> int:
@@ -413,6 +449,7 @@ def _convolve_fft(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarray
     fa = [np.fft.rfft((a >> (w * i)) & mask, size) for i in range(k)]
     fb = fa if square else [np.fft.rfft((b >> (w * i)) & mask, size) for i in range(k)]
     out = np.zeros(a.shape[:-1] + (prec,), dtype=np.int64)
+    head = out[..., :m]
     for s in range(2 * k - 1):
         lo, hi = max(0, s - k + 1), min(s, k - 1)
         spec = fa[lo] * fb[s - lo]
@@ -425,8 +462,11 @@ def _convolve_fft(a: np.ndarray, b: np.ndarray, p: int, prec: int) -> np.ndarray
         r = np.rint(y)
         if np.abs(y - r).max() > 0.25:
             raise ArithmeticError("FFT product is not within 1/4 of an integer")
-        out[..., :m] += r.astype(np.int64) % p * pow(2, w * s, p)
-    out[..., :m] %= p
+        term = r.astype(np.int64)
+        mod_p(term, p, out=term)
+        term *= pow(2, w * s, p)
+        head += term
+    mod_p(head, p, out=head)
     return out
 
 

@@ -66,7 +66,7 @@ import numpy as np
 
 from .cycmod import diagonal_coinvariants, regular_module, tensor_over_groupring
 from .errors import ResourceLimitError, UsageError, env_budget, exact_int
-from .fpx import validate_prime
+from .fpx import mod_p, validate_prime
 from .groups import (
     FiniteGroup, GroupHom, build_lamplighter, check_order, cyclic_group, elementary_abelian,
     greedy_walk, hopf_quotient,
@@ -178,7 +178,7 @@ def _stream_d3(p: int, prod: np.ndarray, acc: SparseRankAccumulator) -> None:
         rows = np.zeros((n, n + 1), dtype=np.int64)
         for face, sign in zip(faces, (1, -1, -1, 1)):
             rows[r, face] += sign
-        rows %= p
+        mod_p(rows, p, out=rows)
         acc.add_rows(rows[:, :n])
 
 
@@ -234,7 +234,7 @@ def minres_h2(group: FiniteGroup) -> int:
     for g in gens:
         moved[:, :, group.table[g]] = blocks
         moved -= blocks
-        moved %= p
+        mod_p(moved, p, out=moved)
         acc.add_rows(moved.reshape(dim_k, d * m))
     return dim_k - acc.rank
 
@@ -274,7 +274,7 @@ def five_term_check(group: FiniteGroup, h_elements) -> dict:
     images[kept, mapping[free[kept]]] = 1
     for r in np.flatnonzero(mapping[pivcols] >= 0):
         images[:, mapping[pivcols[r]]] -= reduced[r, free]
-    images %= p
+    mod_p(images, p, out=images)
 
     acc = SparseRankAccumulator(images.shape[1], p)
     acc.add_rows(images)

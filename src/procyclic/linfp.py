@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError, exact_int, exact_ints
-from .fpx import MAX_PRIME, validate_prime
+from .fpx import MAX_PRIME, mod_p, validate_prime
 
 __all__ = [
     "FpMatrix",
@@ -205,7 +205,8 @@ def _panel_rref(block: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             block[:, c:] -= col[:, None] * row[c:]
         pivrows.append(i)
         pivcols.append(c)
-    return block[pivrows] % p, pivcols
+    pivots = block[pivrows]
+    return mod_p(pivots, p, out=pivots), pivcols
 
 
 def rref(matrix: FpMatrix) -> tuple[np.ndarray, list[int]]:
@@ -377,13 +378,18 @@ class SparseRankAccumulator:
     def add_rows(self, rows: np.ndarray) -> int:
         """Add the rows of a 2-D integer array with entries in [0, p).
 
-        Other entries raise UsageError.  Zero rows are skipped.  Over F_2
-        each row goes bit-packed to add_bits; for odd p the rows go to the
-        block step BLOCK_ROWS at a time.  Returns how many pivots the rows
-        added.
+        Other entries raise UsageError, and so does a ragged nested list.
+        Zero rows are skipped.  Over F_2 each row goes bit-packed to
+        add_bits; for odd p the rows go to the block step BLOCK_ROWS at a
+        time.  Returns how many pivots the rows added.
         """
-        if np.ndim(rows) != 2 or np.shape(rows)[1] != self.ncols:
-            raise UsageError(f"rows of shape {np.shape(rows)} do not have {self.ncols} columns")
+        if not isinstance(rows, np.ndarray):
+            # a ragged list comes out one-dimensional, its rows as entries,
+            # which exact_ints refuses
+            rows = np.asarray(rows, dtype=object)
+            rows = exact_ints(rows, "row entry", ndim=rows.ndim, hi=self.p)
+        if rows.ndim != 2 or rows.shape[1] != self.ncols:
+            raise UsageError(f"rows of shape {rows.shape} do not have {self.ncols} columns")
         rows = exact_ints(rows, "row entry", ndim=2, hi=self.p)
         before = self.rank
         nonzero = np.flatnonzero(rows.any(axis=1))

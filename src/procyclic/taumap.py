@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UsageError, exact_int
-from .fpx import TruncSeries, validate_prime
+from .fpx import TruncSeries, mod_p, validate_prime
 from .padic import PadicInt
 
 __all__ = ["tau", "sigma", "min_digit_precision"]
@@ -100,10 +100,15 @@ def tau_rows(p: int, digits: np.ndarray, prec: int) -> np.ndarray:
     width = min(p, prec)
     digits = digits[:, :, None]
     rest = digits - np.arange(width)
-    # rest % p keeps the indices of the masked entries k > d_rj in range
-    factors = fact[digits] * inv_fact[:width] % p * inv_fact[rest % p] % p
+    # rest mod p keeps the indices of the masked entries k > d_rj in range
+    factors = fact[digits] * inv_fact[:width]
+    mod_p(factors, p, out=factors)
+    factors *= inv_fact[mod_p(rest, p)]
+    mod_p(factors, p, out=factors)
     factors[rest < 0] = 0
-    factors[:, :, 1::2] = -factors[:, :, 1::2] % p
+    odd = factors[:, :, 1::2]
+    np.negative(odd, out=odd)
+    mod_p(odd, p, out=odd)
     # before digit j, coeffs[r] holds the coefficients of x^m for m < p^j;
     # the outer product puts factor[k] * coeffs[r, m] at k * p^j + m
     rows = digits.shape[0]
@@ -111,7 +116,7 @@ def tau_rows(p: int, digits: np.ndarray, prec: int) -> np.ndarray:
     for j in range(factors.shape[1]):
         top = -(-prec // coeffs.shape[1])  # the digits k with k * p^j < prec
         outer = factors[:, j, :top, None] * coeffs[:, None, :]
-        coeffs = outer.reshape(rows, outer.shape[1] * outer.shape[2])[:, :prec] % p
+        coeffs = mod_p(outer.reshape(rows, outer.shape[1] * outer.shape[2])[:, :prec], p)
     return coeffs
 
 
@@ -140,7 +145,7 @@ def times_sigma_x(r: np.ndarray, p: int) -> None:
     """
     np.cumsum(r, out=r)
     np.negative(r, out=r)
-    np.remainder(r, p, out=r)
+    mod_p(r, p, out=r)
 
 
 def sigma(f: TruncSeries) -> TruncSeries:

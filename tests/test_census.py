@@ -26,6 +26,7 @@ from procyclic import (
 )
 import procyclic.census
 from procyclic.census import (
+    _limb_powers,
     _pack_rows,
     _ratio_scan,
     _toeplitz_stack,
@@ -197,7 +198,10 @@ def test_enum_A_bit_budget_refuses_before_any_work(monkeypatch):
 @pytest.mark.parametrize(
     "p,prec",
     [(2, n) for n in (1, 7, 9, 61, 62, 63, 64, 128, 1023, 1024)]
-    + [(3, n) for n in (39, 40, 81)]
+    # b - 1, b, b + 1 and a multiple of b digits, b the limb width at p
+    + [(3, n) for n in (38, 39, 40, 81, 117)]
+    + [(5, n) for n in (25, 26, 27, 78)]
+    + [(7, n) for n in (21, 22, 23, 66)]
     + [(65521, n) for n in (3, 4, 5)],
 )
 def test_pack_rows_matches_pack_series(p, prec):
@@ -205,12 +209,19 @@ def test_pack_rows_matches_pack_series(p, prec):
     rows = np.vstack(
         [
             rng.integers(0, p, size=(6, prec)),
-            np.full((1, prec), p - 1),
+            np.full((1, prec), p - 1),  # every limb at its maximum
             np.zeros((1, prec), dtype=np.int64),
         ]
     )
     expected = [pack_series(TruncSeries(p, row, prec)) for row in rows]
     assert _pack_rows(rows, p) == expected
+    for r in (0, 6):  # single-row blocks
+        assert _pack_rows(rows[r : r + 1], p) == expected[r : r + 1]
+
+
+def test_limb_widths():
+    # the limb widths b behind the packing edges above
+    assert [_limb_powers(p).size for p in (2, 3, 5, 7)] == [61, 39, 26, 22]
 
 
 def _traced_peak(call):

@@ -298,3 +298,9 @@ def test_add_rows_takes_nested_lists(p):
         acc.add_rows([[1, 0]])
     with pytest.raises(UsageError, match=r"rows of shape \(3,\) do not have 3 columns"):
         acc.add_rows([1, 0, 1])
+    # a ragged list is refused before any row is added, like FpMatrix refuses it
+    rank = acc.rank
+    for ragged in ([[1, 0, 1], [1]], [[1], [1, 0, 1]]):
+        with pytest.raises(UsageError, match="row entry must be an integer"):
+            acc.add_rows(ragged)
+    assert acc.rank == rank

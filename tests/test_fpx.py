@@ -215,6 +215,28 @@ def test_float_convolution_is_exact_up_to_the_cutoff():
     assert fpx.INT64_CUTOFF < fpx.SCHOOLBOOK_CUTOFF
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 65521))
+@pytest.mark.parametrize(
+    "size", (0, 1, fpx.MOD_CUTOFF - 1, fpx.MOD_CUTOFF, fpx.MOD_CUTOFF + 1, 1 << 16)
+)
+def test_mod_p_matches_remainder(p, size):
+    rng = np.random.default_rng(p * 100003 + size)
+    # signed entries of every magnitude up to 2^62
+    x = rng.integers(-(2**62), 2**62, size=size) >> rng.integers(0, 63, size=size)
+    x[:2] = (-(2**62), 2**62)[:size]
+    expected = x % p
+    before = x.copy()
+    got = fpx.mod_p(x, p)
+    assert got is not x and got.dtype == np.int64
+    assert np.array_equal(got, expected) and np.array_equal(x, before)
+    # in place, also into a strided view
+    assert fpx.mod_p(x, p, out=x) is x
+    assert np.array_equal(x, expected)
+    y = before.copy()
+    fpx.mod_p(y[::2], p, out=y[::2])
+    assert np.array_equal(y[::2], expected[::2]) and np.array_equal(y[1::2], before[1::2])
+
+
 @pytest.mark.parametrize("p", [3, 65521])  # one limb and two limbs at 4097
 def test_fft_product_raises_instead_of_rounding(p, monkeypatch):
     rng = random.Random(5)
@@ -539,6 +561,8 @@ def test_parse_text_and_json_roundtrip():
 def test_parse_accepts_signs_and_spaces():
     f = parse_series("1 - x + 2*x^3", 5, 5)
     assert f == TruncSeries(5, [1, 4, 0, 2, 0], 5)
+    # a term of degree prec or more vanishes mod x^prec
+    assert parse_series("1 + x^4", 2, 4) == TruncSeries.one(2, 4)
 
 
 def test_coefficients_outside_int64_are_reduced_mod_p():
@@ -575,5 +599,6 @@ def test_shift_round_trips():
     up = f.shift_up(2)
     assert up.prec == 6 and up.valuation() == 2
     assert up.shift_down(2) == f
+    assert f.shift_down(0) == f and f.shift_up(0) == f
     with pytest.raises(UsageError):
         f.shift_down(1)
