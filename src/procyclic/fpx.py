@@ -47,13 +47,13 @@ Binary operations require equal primes and equal precisions; use
 ``truncate()`` to bring an operand down to a common precision when mixing
 precisions on purpose.
 
-Large int64 arrays are reduced mod p by ``mod_p``, which every module of
-the package uses: ``& 1`` at p = 2, and otherwise ``x - (x // p) * p``
-once an array holds MOD_CUTOFF entries, because numpy's ``//`` by a scalar
-divides through libdivide and ``%`` does not.  The result is exact for
-every entry x >= -2^63 + p; the package reduces only entries below 2^53
-in magnitude.  The oracles (``mul_schoolbook`` and the small-N product
-path it shares) and scalar residues keep ``%``.
+Large int64 arrays are reduced mod p by ``mod_p``, here and in census,
+taumap, homology, cycmod and linfp: ``& 1`` at p = 2, otherwise
+``x - (x // p) * p`` once an array holds MOD_CUTOFF entries, because
+numpy's ``//`` by a scalar divides through libdivide and ``%`` does not.
+The result is exact for every entry x >= -2^63 + p; the package reduces
+only entries below 2^53 in magnitude.  The oracles (``mul_schoolbook``
+and the small-N product path it shares) and scalar residues keep ``%``.
 """
 
 from __future__ import annotations
