@@ -14,10 +14,22 @@ p^v elements.  That gives the two counting factors (at most p^(2in) pairs,
 at most p^(p^k) solutions per pair) behind the p^(2in + p^k) bound on the
 census size; both are checked on every call.
 
-Everything runs on int64 coefficient arrays, one row per series:
+The census itself is held as packed words (below) and built level by
+level with no coefficient rows above level 1.  Level 1 packs the p rows
+of (1-x)^m, m < p.  The Frobenius identity (1-x)^(a p^k + r) =
+(1 - x^(p^k))^a (1-x)^r, which is Lucas' theorem on C(m, j) mod p, then
+makes each word of level k + 1 a sum of level-k words, scaled by the
+digits of row a of level 1 and placed in disjoint p^k-digit ranges, so
+exact Python-int arithmetic builds it with no carries.  At level 1 alone
+a large prime keeps its rows in blocks of _BLOCK_ROWS (at p = 2039 the
+p x p array would be 33 MB); a higher level admits only p <= 73, whose
+level-1 arrays are tiny.
+
+Ratio sets run on int64 coefficient arrays, one row per series:
 
 * The powers (1-x)^m come from the recurrence row_{m+1} = row_m minus
-  row_m shifted up by one, one numpy operation per row.
+  row_m shifted up by one, one numpy operation per row, a block of
+  _BLOCK_ROWS rows at a time.
 * Numerators and denominators are (p^(in) x prec) arrays built by
   broadcasting alpha_j * A over the census rows A.  The distinct
   admissible denominators x^v * u are handled one valuation v at a time.
@@ -43,11 +55,7 @@ is one matmul against the powers of p (cached per p).  At p = 2 a longer
 row is its bit pattern: np.packbits and int.from_bytes.  At odd p a
 longer row is cut into b-digit int64 limbs by one matmul, and each row's
 limbs are joined by one Horner loop over Python integers, most
-significant limb first.  The census rows are generated
-and packed in blocks of _BLOCK_ROWS, so no prec x prec array is ever
-held; at level (2, 10) that array would be 8 MB, and 256-row blocks raise
-the peak RSS of the benchmark's census pass by about 3.4 MB against
-16-row blocks.
+significant limb first.
 
 The work of a ratio set grows as p^(2i(n+1)), and its arrays as
 p^(i(n+1)).  Calls above MAX_CENSUS_WORK = 2^32 are refused with
@@ -202,6 +210,51 @@ def _power_blocks(p: int, prec: int):
         yield block
 
 
+def _scaled_power_words(p: int, k: int, scales) -> dict[int, list[int]]:
+    """T_k[c] for c in scales: the packed words of c * (1-x)^m mod (p, x^(p^k)), m < p^k.
+
+    Each list is in order of m, and scales must lie in [1, p).  Level 1 is
+    packed from _power_blocks(p, p).  With row a of level 1 giving
+    B[a][l] = (-1)^l C(a, l) mod p, nonzero for l <= a < p and zero above,
+    the Frobenius identity (1-x)^(a p^j + r) = (1 - x^(p^j))^a (1-x)^r
+    (Lucas' theorem on C(m, l) mod p) lifts level j to level j + 1:
+
+        T_(j+1)[c][a p^j + r] = sum_(l <= a) T_j[c B[a][l] mod p][r] * p^(l p^j).
+
+    The terms fill disjoint p^j-digit ranges with digits already in
+    [0, p), so nothing carries and Horner's rule over l is exact.  Levels
+    below k are built for every unit scale; the top only for scales.
+    """
+    if k == 1:  # p may be large here: keep the rows in blocks
+        tables = {c: [] for c in scales}
+        for block in _power_blocks(p, p):
+            for c in scales:
+                tables[c] += _pack_rows(block if c == 1 else mod_p(c * block, p), p)
+        return tables
+    units = range(1, p)
+    tables = _scaled_power_words(p, 1, units)
+    # MAX_CENSUS_BITS admits k >= 2 only for p <= 73: the p x p array is small
+    coef = np.concatenate(list(_power_blocks(p, p))).tolist()  # B[a][l]
+    size = p  # p^j at level j
+    for j in range(1, k):
+        lifted = {}
+        for c in scales if j == k - 1 else units:
+            if p == 2:  # radix 2^size: a shift, where CPython would multiply
+                lifted[c] = tables[1] + [w | w << size for w in tables[1]]
+                continue
+            radix = p**size
+            out = []
+            for a in range(p):
+                for parts in zip(*[tables[c * b % p] for b in coef[a][a::-1]]):
+                    word = 0
+                    for part in parts:
+                        word = word * radix + part
+                    out.append(word)
+            lifted[c] = out
+        tables, size = lifted, size * p
+    return tables
+
+
 def check_enum_budget(p: int, i: int) -> int:
     """p^i, or ResourceLimitError if enum_A(p, i) holds over MAX_CENSUS_BITS bits.
 
@@ -234,9 +287,7 @@ def enum_A(p: int, i: int) -> CensusSet:
     if i < 1:
         raise UsageError("census level must be >= 1")
     prec = check_enum_budget(p, i)
-    elements = frozenset(
-        itertools.chain.from_iterable(_pack_rows(b, p) for b in _power_blocks(p, prec))
-    )
+    elements = frozenset(_scaled_power_words(p, i, (1,))[1])
     # 1 - x has multiplicative order exactly p^i here, so no collisions
     if len(elements) != prec:
         raise RuntimeError(f"enum_A({p}, {i}) has {len(elements)} members, not {prec}")

@@ -11,8 +11,11 @@ at once: a digit sum s_j = a_j + b_j decides its own carry out unless
 s_j = p - 1, where it passes the carry in on, so the carry into digit i is
 set by the last deciding digit below i, found for every i with one running
 maximum.  ``PadicInt.__add__`` is its one-row case, and negation adds one
-to the digit complement.  A product carries its digit convolution, whose
-column sums exceed 2p, digit by digit.
+to the digit complement.  A product's digit convolution has column sums
+s <= k(p-1)^2.  A carry pass keeps s mod p in place and adds s // p to the
+digit above, which takes the largest sum V to at most p - 1 + V/p, so
+about log_p(k) whole-row passes bring every carry below p; the last
+carries, one row of digits, then go through ``add_digit_rows``.
 """
 
 from __future__ import annotations
@@ -124,16 +127,19 @@ class PadicInt:
     def __mul__(self, other: "PadicInt") -> "PadicInt":
         self._check_compatible(other)
         p, k = self.p, self.prec
-        acc = np.zeros(k, dtype=np.int64)
-        for i in range(k):
-            di = int(self.digits[i])
-            if di:
-                acc[i:] += di * other.digits[: k - i]
-        out = np.zeros(k, dtype=np.int64)
-        carry = 0
-        for i in range(k):
-            carry, out[i] = divmod(int(acc[i]) + carry, p)
-        return PadicInt(p, out, k)
+        # column sums of the digit convolution, each at most k * (p-1)^2
+        acc = np.convolve(self.digits, other.digits)[:k]
+        # s = (s mod p) + p * (s // p); pass the carries up until each is a digit
+        while True:
+            carry = acc // p
+            low = acc - carry * p
+            if carry.max() < p:
+                break
+            low[1:] += carry[:-1]
+            acc = low
+        high = np.zeros((1, k), dtype=np.int64)
+        high[0, 1:] = carry[:-1]
+        return PadicInt(p, add_digit_rows(p, low[None], high)[0], k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PadicInt):

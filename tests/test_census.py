@@ -28,7 +28,9 @@ import procyclic.census
 from procyclic.census import (
     _limb_powers,
     _pack_rows,
+    _power_blocks,
     _ratio_scan,
+    _scaled_power_words,
     _toeplitz_stack,
     _unit_inverses,
     check_census_budget,
@@ -115,21 +117,24 @@ def _powers_by_products(p, i):
         cur = cur * base
 
 
-def _lucas_power_words(p, i):
-    """Packed (1-x)^m, m < p^i, from (-1)^j C(m, j) mod p by Lucas' theorem."""
+def _lucas_power_blocks(p, i):
+    """(1-x)^m, m < p^i, 64 rows at a time, from (-1)^j C(m, j) mod p by Lucas' theorem."""
     prec = p**i
     j = np.arange(prec)
     sign = np.where(j % 2 == 0, 1, p - 1)
-    words = set()
-    for m in range(prec):
-        coeff = sign.copy()
-        mm, jj = m, j.copy()
+    comb = np.array([[math.comb(a, d) % p for d in range(p)] for a in range(p)])
+    for start in range(0, prec, 64):
+        mm, jj = np.arange(start, min(start + 64, prec))[:, None], j
+        coeff = sign
         for _ in range(i):
-            md, jd = mm % p, jj % p
-            coeff = coeff * np.array([math.comb(md, d) for d in range(p)])[jd] % p
+            coeff = coeff * comb[mm % p, jj % p] % p
             mm, jj = mm // p, jj // p
-        words.add(int("".join(str(c) for c in coeff[::-1]), p))
-    return words
+        yield coeff
+
+
+def _lucas_power_words(p, i):
+    """Packed (1-x)^m, m < p^i, by Lucas' theorem."""
+    return {w for block in _lucas_power_blocks(p, i) for w in _pack_rows(block, p)}
 
 
 # -- enum_A --------------------------------------------------------------------
@@ -144,6 +149,32 @@ def test_enum_A_matches_lucas(p, i):
 def test_enum_A_matches_repeated_products(p, i):
     expected = {pack_series(f) for f in _powers_by_products(p, i)}
     assert enum_A(p, i).elements == expected
+
+
+@pytest.mark.parametrize("p,i", ((2, 12), (3, 7), (11, 2), (13, 1), (61, 2), (251, 1)))
+def test_enum_A_matches_every_oracle(p, i):
+    # the rows by the (1-x)-recurrence, packed block by block, against the
+    # words; then the rows by Lucas' theorem and by products against them
+    old_rows, old_words = set(), set()
+    for block in _power_blocks(p, p**i):
+        old_rows.update(row.tobytes() for row in block)
+        old_words.update(_pack_rows(block, p))
+    assert enum_A(p, i).elements == old_words
+    assert {row.tobytes() for block in _lucas_power_blocks(p, i) for row in block} == old_rows
+    assert {f.coeffs.tobytes() for f in _powers_by_products(p, i)} == old_rows
+
+
+@pytest.mark.parametrize("p,k", ((2, 1), (2, 5), (3, 1), (3, 3), (5, 1), (5, 2), (7, 2), (13, 1)))
+def test_scaled_power_words_match_pack_series(p, k):
+    # T_k[c] for every unit c; T_k[0] is zero and never formed
+    prec = p**k
+    tables = _scaled_power_words(p, k, range(1, p))
+    assert list(tables) == list(range(1, p))
+    powers = [f.coeffs for f in _powers_by_products(p, k)]
+    for c, words in tables.items():
+        assert words == [pack_series(TruncSeries(p, c * f % p, prec)) for f in powers]
+    # the top level alone, as enum_A asks for it
+    assert _scaled_power_words(p, k, (1,)) == {1: tables[1]}
 
 
 def test_enum_A_level_one():
@@ -185,7 +216,7 @@ def test_enum_A_bit_budget_refuses_before_any_work(monkeypatch):
     def no_work(*args):
         raise _Admitted
 
-    monkeypatch.setattr(procyclic.census, "_power_blocks", no_work)
+    monkeypatch.setattr(procyclic.census, "_scaled_power_words", no_work)
     # prec^2 * bit_length(p - 1) bits against 2^28; the refused calls never run
     for p, i in ((2, 15), (2, 16), (3, 9), (5, 6), (65521, 1)):
         with pytest.raises(ResourceLimitError, match=f"census at p={p}, level {i} "):
@@ -235,9 +266,16 @@ def _traced_peak(call):
 
 
 def test_enum_A_peak_memory():
-    # 0.37 MB traced: 1024 words of 1024 bits and 16-row blocks; a bound on
-    # the transient arrays behind the census workload's peak RSS
+    # 0.14 MB traced: 1024 words of at most 1024 bits and the 512 words of
+    # level 9, with no coefficient rows above level 1; a bound on the
+    # transient memory behind the census workload's peak RSS
     assert _traced_peak(lambda: enum_A(2, 10)) <= 512 * 1024
+
+
+def test_enum_A_large_prime_keeps_rows_in_blocks():
+    # level 1 at p = 2039 packs 16-row blocks (3.7 MB traced); the whole
+    # 2039 x 2039 int64 array would be 33 MB
+    assert _traced_peak(lambda: enum_A(2039, 1)) <= 8 << 20
 
 
 def test_pack_unpack_roundtrip():

@@ -62,6 +62,18 @@ def test_stacked_carry_sums_against_integer_oracle(p, k):
     assert not add_digit_rows(p, a[:1], np.array([PadicInt.from_int(-xs[0], p, k).digits])).any()
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 65521))
+@pytest.mark.parametrize("k", (1, 2, 30, 300))
+def test_products_against_integer_oracle(p, k):
+    rng = random.Random(p * 1000 + k)
+    top = PadicInt(p, [p - 1] * k)  # p^k - 1: the largest column sums
+    values = [top, PadicInt(p, [p - 1] * (k - 1) + [0]), PadicInt.from_int(1, p, k)]
+    values += [PadicInt.from_int(rng.randrange(p**k), p, k) for _ in range(6)]
+    for a in values:
+        for b in values[:4]:
+            assert a * b == PadicInt.from_int(a.to_int() * b.to_int(), p, k)
+
+
 def test_ring_axioms_random():
     rng = random.Random(11)
     p, k = 3, 5
